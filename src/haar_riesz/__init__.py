@@ -24,6 +24,7 @@ from .errors import ConsistencyError, ConvergenceError, InputError
 from .gram import (
     GramMatrix,
     PerturbationDemo,
+    bessel_certificate,
     build_gram,
     eig_bounds,
     perturbation_demo,

@@ -12,13 +12,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .constants import comparison_table
 from .counterexample import counterexample_table, partial_sum_structure
 from .errors import ConsistencyError, ConvergenceError, InputError
-from .gram import build_gram, eig_bounds, perturbation_demo, verify_bessel, verify_riesz
+from .gram import (
+    bessel_certificate,
+    build_gram,
+    eig_bounds,
+    perturbation_demo,
+    psd_certificate,
+)
 from .haar import CoefficientMap, enumerate_family
 from .measure import StepSet
 from .rational import format_rational, parse_rational, render_float
@@ -55,9 +62,9 @@ def cmd_gram(args) -> int:
         "family_size": len(family),
     }
     ok = True
-    gram = build_gram(family, region, normalized=args.normalized)
+    gram = build_gram(family, region)
+    pencil = replace(gram, normalized=True)
     if family:
-        pencil = build_gram(family, region, normalized=True)
         low, high = eig_bounds(pencil)
         report["pencil_eig"] = [
             render_float(low, args.precision),
@@ -66,17 +73,18 @@ def cmd_gram(args) -> int:
     else:
         report["pencil_eig"] = None
     if args.c is not None:
-        certified = verify_riesz(family, region, args.c)
+        certified = psd_certificate(gram, args.c, gram.diagonal)
         report["riesz"] = {"c": format_rational(args.c), "certified": certified}
         ok = ok and certified
     if args.bessel:
-        certified = verify_bessel(family, region, args.p)
+        certified = bessel_certificate(gram, args.p)
         report["bessel"] = {"bound": format_rational(Fraction(1) / args.p), "certified": certified}
         ok = ok and certified
+    shown = pencil if args.normalized else gram
     if args.format == "csv":
-        _write(args, gram.to_csv(args.precision))
+        _write(args, shown.to_csv(args.precision))
     else:
-        report["gram"] = gram.to_json_dict()
+        report["gram"] = shown.to_json_dict()
         _write(args, json.dumps(report, indent=2) + "\n")
     return 0 if ok else 1
 

@@ -2,8 +2,9 @@
 
 Two verification routes live here and are kept deliberately independent:
 
-* an exact route — rational LDLᵀ with largest-diagonal pivoting decides
-  positive semidefiniteness of the pencil G − c·D with no rounding at all;
+* an exact route — rational LDLᵀ in a perfect elimination order of the
+  dyadic tree decides positive semidefiniteness of the pencil G − c·D with
+  no rounding at all;
 * a float route — a cyclic Jacobi eigensolver on float64 conversions, used
   to drive searches and to cross-check the exact certificates.
 """
@@ -18,8 +19,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .haar import inner_product, restricted_norm_sq
-from .measure import DyadicInterval, StepSet
+from .measure import DyadicInterval, StepSet, measures_below
 from .rational import format_rational, render_float
 
 try:
@@ -44,14 +44,20 @@ class GramMatrix:
     normalized: bool = False
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
+        rows = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+            for row in self.entries
+        )
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise InputError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise InputError(f"Gram matrix not symmetric at ({i}, {j})")
+        # tuple equality short-cuts on shared objects, so a Gram matrix whose
+        # mirrored entries are one object each is checked at C speed
+        if tuple(zip(*rows)) != rows:
+            i, j = next(
+                (i, j) for i in range(n) for j in range(i) if rows[i][j] != rows[j][i]
+            )
+            raise InputError(f"Gram matrix not symmetric at ({i}, {j})")
         if self.labels is not None and len(self.labels) != n:
             raise InputError("label count must match matrix size")
         if self.normalized and any(rows[i][i] <= 0 for i in range(n)):
@@ -107,22 +113,57 @@ class GramMatrix:
 def build_gram(
     family: Sequence[DyadicInterval], region: StepSet, normalized: bool = False
 ) -> GramMatrix:
-    """Exact Gram matrix of {h_I · 1_E : I in family}."""
+    """Exact Gram matrix of {h_I · 1_E : I in family}.
+
+    Dyadic intervals are nested or disjoint, so the only nonzero entries pair
+    a member with its ancestors: for J ⊋ I, ⟨h_I 1_E, h_J 1_E⟩ = ±(|rh(I)∩E| −
+    |lh(I)∩E|), with + when I ⊂ rh(J).  Each member's mass and slope come from
+    one sweep of E, and the entries are filled along each member's ancestor
+    chain: O(n·depth) entries, and no table over a whole dyadic level.
+    """
     family = tuple(family)
     n = len(family)
+    top = max((interval.level for interval in family), default=0) + 1
+    # ends of each member and of its halves, in units of 2^-top
+    ends = [
+        (interval.index << (top - interval.level), 1 << (top - interval.level - 1))
+        for interval in family
+    ]
+    points = sorted({left + k * half for left, half in ends for k in (0, 1, 2)})
+    below = dict(
+        zip(points, measures_below(region, [Fraction(x, 1 << top) for x in points]))
+    )
+    mass, slope = [], []
+    for left, half in ends:
+        lo, mid, hi = below[left], below[left + half], below[left + 2 * half]
+        mass.append(hi - lo)
+        slope.append((hi - mid) - (mid - lo))
     if normalized:
-        for interval in family:
-            if restricted_norm_sq(interval, region) == 0:
+        for interval, m in zip(family, mass):
+            if m == 0:
                 raise InputError(
                     f"cannot normalize: {interval} has zero restricted norm"
                 )
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = restricted_norm_sq(family[i], region)
-        for j in range(i):
-            value = inner_product(family[i], family[j], region)
-            rows[i][j] = value
-            rows[j][i] = value
+
+    positions: dict[Tuple[int, int], list[int]] = {}
+    for i, interval in enumerate(family):
+        positions.setdefault((interval.level, interval.index), []).append(i)
+    zero = Fraction(0)
+    rows = [[zero] * n for _ in range(n)]
+    for i, interval in enumerate(family):
+        level, index = interval.level, interval.index
+        for j in positions[level, index]:  # the member itself and any repeats
+            rows[i][j] = mass[i]
+        s = slope[i]
+        if not s:
+            continue
+        for shift in range(1, level + 1):
+            ancestor = (level - shift, index >> shift)
+            # I lies in the right half of the ancestor iff this index bit is set
+            value = s if (index >> (shift - 1)) & 1 else -s
+            for j in positions.get(ancestor, ()):
+                rows[i][j] = value
+                rows[j][i] = value
     return GramMatrix(tuple(tuple(row) for row in rows), family, normalized)
 
 
@@ -130,33 +171,81 @@ def build_gram(
 # exact PSD certificate
 
 
+def _elimination_order(adjacency: Sequence[dict]) -> list[int]:
+    """Reverse of a maximum cardinality search over a symmetric pattern.
+
+    The search repeatedly visits an unvisited vertex with the most visited
+    neighbours; on a chordal pattern the reverse visit order is a perfect
+    elimination ordering, so LDLᵀ in that order adds no fill-in (Tarjan and
+    Yannakakis 1984).  Ties go to the vertex that reached its weight last,
+    so the order depends only on the pattern and the index order.
+    """
+    n = len(adjacency)
+    weight = [0] * n
+    visited = [False] * n
+    buckets: list[dict] = [dict.fromkeys(range(n))]  # weight -> unvisited vertices
+    top = 0
+    order = []
+    for _ in range(n):
+        while not buckets[top]:
+            top -= 1
+        vertex, _ = buckets[top].popitem()
+        visited[vertex] = True
+        order.append(vertex)
+        for other in adjacency[vertex]:
+            if not visited[other]:
+                w = weight[other]
+                del buckets[w][other]
+                weight[other] = w + 1
+                if w + 1 == len(buckets):
+                    buckets.append({})
+                buckets[w + 1][other] = None
+        top = min(top + 1, len(buckets) - 1)
+    order.reverse()
+    return order
+
+
 def _exact_psd(rows) -> bool:
     """Decide positive semidefiniteness of a symmetric rational matrix, exactly.
 
-    Diagonal-pivoted LDLᵀ: repeatedly pivot on the largest-magnitude remaining
-    diagonal entry.  A negative diagonal is an immediate witness of
-    indefiniteness.  Once every remaining diagonal is zero, the matrix is PSD
-    iff the remaining block vanishes: a surviving off-diagonal entry m sits in
-    a 2×2 block [[0, m], [m, 0]] of determinant −m² < 0.
+    LDLᵀ on a sparse row store, pivoting in the fixed order of
+    :func:`_elimination_order`.  A negative pivot is a witness of
+    indefiniteness.  A zero pivot whose column still holds an entry m leaves a
+    2×2 principal minor [[0, m], [m, a]] of determinant −m² < 0, so the
+    matrix is not PSD; a zero pivot with an empty column splits off a zero
+    row and is skipped.  Entries that cancel to zero are dropped, so "empty"
+    is exact.
     """
-    matrix = [list(row) for row in rows]
-    active = list(range(len(matrix)))
-    while active:
-        pivot = max(active, key=lambda i: abs(matrix[i][i]))
-        d = matrix[pivot][pivot]
+    n = len(rows)
+    diag = [rows[i][i] for i in range(n)]
+    adjacency: list[dict] = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row[i + 1 :], i + 1):
+            if value:
+                adjacency[i][j] = value
+                adjacency[j][i] = value
+    for k in _elimination_order(adjacency):
+        d = diag[k]
         if d < 0:
             return False
+        column = list(adjacency[k].items())
         if d == 0:
-            return not any(
-                matrix[i][j] for i in active for j in active if i != j
-            )
-        active.remove(pivot)
-        column = [(i, matrix[i][pivot]) for i in active if matrix[i][pivot]]
-        for i, ci in column:
-            row_i = matrix[i]
+            if column:
+                return False
+            continue
+        for a, (i, ci) in enumerate(column):
+            row_i = adjacency[i]
+            del row_i[k]
             ratio = ci / d
-            for j, cj in column:
-                row_i[j] -= ratio * cj
+            diag[i] -= ratio * ci
+            for j, cj in column[a + 1 :]:
+                value = row_i.get(j, 0) - ratio * cj
+                if value:
+                    row_i[j] = value
+                    adjacency[j][i] = value
+                elif j in row_i:
+                    del row_i[j]
+                    del adjacency[j][i]
     return True
 
 
@@ -194,19 +283,23 @@ def verify_riesz(
     return psd_certificate(gram, Fraction(c), gram.diagonal)
 
 
+def bessel_certificate(gram: GramMatrix, p: Fraction) -> bool:
+    """Exact truth of the upper bound (1/p)·D − G ⪰ 0, D the diagonal of G."""
+    p = Fraction(p)
+    if not 0 < p <= 1:
+        raise InputError(f"threshold must satisfy 0 < p <= 1, got {p}")
+    n = gram.size
+    rows = [[-x if x else x for x in gram.entries[i]] for i in range(n)]
+    for i in range(n):
+        rows[i][i] += gram.entries[i][i] / p
+    return _exact_psd(rows)
+
+
 def verify_bessel(
     family: Sequence[DyadicInterval], region: StepSet, p: Fraction
 ) -> bool:
     """Exact truth of the upper bound (1/p)·D − G ⪰ 0 on an admissible family."""
-    p = Fraction(p)
-    if not 0 < p <= 1:
-        raise InputError(f"threshold must satisfy 0 < p <= 1, got {p}")
-    gram = build_gram(family, region, normalized=False)
-    n = gram.size
-    rows = [[-x for x in gram.entries[i]] for i in range(n)]
-    for i in range(n):
-        rows[i][i] += gram.entries[i][i] / p
-    return _exact_psd(rows)
+    return bessel_certificate(build_gram(family, region, normalized=False), p)
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import InputError
-from .measure import DyadicInterval, StepSet, density, intersect_measure
+from .measure import DyadicInterval, StepSet, intersect_measure, measures_below
 from .rational import format_rational, parse_rational
 
 
@@ -272,17 +272,23 @@ def enumerate_family(depth: int, region: StepSet, p: Fraction) -> list[DyadicInt
     """All intervals of level ≤ depth whose density meets the threshold p.
 
     Uses the weak inequality density ≥ p (a coefficient is forced to zero only
-    by a strict shortfall), in (level, index) order.
+    by a strict shortfall), in (level, index) order.  Every level's masses are
+    differences of |E ∩ [0, k/2^depth)|, taken from one sweep of E.
     """
     if depth < 0:
         raise InputError(f"depth must be >= 0, got {depth}")
     p = Fraction(p)
     if not 0 < p <= 1:
         raise InputError(f"threshold must satisfy 0 < p <= 1, got {p}")
+    scale = 1 << depth
+    below = measures_below(region, [Fraction(k, scale) for k in range(scale + 1)])
     family = []
     for level in range(depth + 1):
-        for index in range(1 << level):
-            interval = DyadicInterval(level, index)
-            if density(region, interval) >= p:
-                family.append(interval)
+        stride = 1 << (depth - level)
+        threshold = p / (1 << level)  # density ≥ p ⇔ |I ∩ E| ≥ p·|I|
+        family.extend(
+            DyadicInterval(level, index)
+            for index in range(1 << level)
+            if below[(index + 1) * stride] - below[index * stride] >= threshold
+        )
     return family

@@ -160,6 +160,28 @@ def intersect_measure(region: StepSet, interval: DyadicInterval) -> Fraction:
     return total
 
 
+def measures_below(region: StepSet, points: Sequence[Fraction]) -> list[Fraction]:
+    """Exact |E ∩ [0, x)| at each point x of an ascending sequence.
+
+    One merge sweep of the region's intervals against the points, so the cost
+    is O(len(points) + len(region.intervals)); the measure of any half-open
+    interval between two of the points is the difference of their values.
+    """
+    intervals = region.intervals
+    out = []
+    covered = Fraction(0)  # measure of the region's intervals ending at or before x
+    k = 0
+    for x in points:
+        while k < len(intervals) and intervals[k][1] <= x:
+            covered += intervals[k][1] - intervals[k][0]
+            k += 1
+        if k < len(intervals) and intervals[k][0] < x:
+            out.append(covered + (x - intervals[k][0]))
+        else:
+            out.append(covered)
+    return out
+
+
 def density(region: StepSet, interval: DyadicInterval) -> Fraction:
     """The covered fraction |I ∩ E| / |I|, exactly; always in [0, 1]."""
     return intersect_measure(region, interval) / interval.measure

@@ -8,8 +8,6 @@ reproducible bit for bit from the seed.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -188,14 +186,6 @@ def certified_lower_bound(
     return lo
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("HAAR_RIESZ_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise InputError(f"HAAR_RIESZ_THREADS must be an integer, got {raw!r}")
-
-
 def _floor_for(p: Fraction) -> Optional[float]:
     if p > Fraction(2, 3):
         return float(riesz_constant(p)) - _FLOAT_TOL
@@ -231,23 +221,13 @@ def _bias_for(cfg: SearchConfig, iteration: int) -> float:
 
 
 def _search_random(cfg: SearchConfig, floor: Optional[float]):
-    def evaluate(iteration: int):
+    history: List[Tuple[int, float]] = []
+    best = None
+    for iteration in range(cfg.iterations):
         region = random_stepset(
             cfg.cell_resolution, _bias_for(cfg, iteration), derive_seed(cfg.seed, iteration)
         )
         ratio, size = _evaluate(region, cfg, floor)
-        return iteration, region, ratio, size
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(evaluate, range(cfg.iterations)))
-    else:
-        evaluated = [evaluate(i) for i in range(cfg.iterations)]
-
-    history: List[Tuple[int, float]] = []
-    best = None
-    for iteration, region, ratio, size in evaluated:  # merge in index order
         history.append((iteration, ratio))
         key = (ratio, region.intervals)
         if best is None or key < best[0]:

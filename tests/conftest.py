@@ -92,3 +92,36 @@ def psd_by_principal_minors(rows) -> bool:
         for k in range(1, n + 1)
         for subset in combinations(range(n), k)
     )
+
+
+def dense_exact_psd(rows) -> bool:
+    """Reference exact PSD decision: dense LDLᵀ with largest-diagonal pivoting.
+
+    This is the library's earlier dense routine, kept here unchanged as a
+    differential reference for the sparse elimination-order LDLᵀ.
+
+    Diagonal-pivoted LDLᵀ: repeatedly pivot on the largest-magnitude remaining
+    diagonal entry.  A negative diagonal is an immediate witness of
+    indefiniteness.  Once every remaining diagonal is zero, the matrix is PSD
+    iff the remaining block vanishes: a surviving off-diagonal entry m sits in
+    a 2×2 block [[0, m], [m, 0]] of determinant −m² < 0.
+    """
+    matrix = [list(row) for row in rows]
+    active = list(range(len(matrix)))
+    while active:
+        pivot = max(active, key=lambda i: abs(matrix[i][i]))
+        d = matrix[pivot][pivot]
+        if d < 0:
+            return False
+        if d == 0:
+            return not any(
+                matrix[i][j] for i in active for j in active if i != j
+            )
+        active.remove(pivot)
+        column = [(i, matrix[i][pivot]) for i in active if matrix[i][pivot]]
+        for i, ci in column:
+            row_i = matrix[i]
+            ratio = ci / d
+            for j, cj in column:
+                row_i[j] -= ratio * cj
+    return True

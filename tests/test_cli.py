@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from haar_riesz import CoefficientMap, DyadicInterval, StepSet, parse_rational
+from haar_riesz import CoefficientMap, DyadicInterval, StepSet, build_gram, parse_rational
 from haar_riesz.cli import run
 
 
@@ -92,6 +92,49 @@ def test_gram_bessel_and_csv(two_thirds_file, tmp_path, capsys):
     rows = out.read_text().strip().split("\n")
     # admissible family at depth 2 on [0, 2/3): {[0,1/2), [0,1/4), [1/4,1/2)}
     assert len(rows) == 3
+
+
+def test_gram_built_once_with_unchanged_output(two_thirds_file, monkeypatch, capsys):
+    # one exact Gram serves the pencil bounds, both verdicts and the shown
+    # view; the expected reports are the output of four separate builds
+    import haar_riesz.cli as cli
+
+    calls = []
+
+    def counting_build_gram(*args, **kwargs):
+        calls.append(kwargs)
+        return build_gram(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_gram", counting_build_gram)
+    argv = ["gram", "--set", two_thirds_file, "--p", "1/2", "--depth", "2", "--c", "1/4", "--bessel"]
+    labels = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)]
+    entries = [["0/1"] * 5 for _ in range(5)]
+    for i, value in enumerate(["2/3", "1/2", "1/4", "1/4", "1/6"]):
+        entries[i][i] = value
+    entries[0][4] = entries[4][0] = "-1/12"
+    expected = {
+        "p": "1/2",
+        "depth": 2,
+        "family_size": 5,
+        "pencil_eig": ["0.74999999999999989", "1.2499999999999998"],
+        "riesz": {"c": "1/4", "certified": True},
+        "bessel": {"bound": "2/1", "certified": True},
+        "gram": {
+            "size": 5,
+            "normalized": False,
+            "labels": [{"level": level, "index": index} for level, index in labels],
+            "entries": entries,
+        },
+    }
+    assert run(argv) == 0
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+    assert len(calls) == 1
+
+    assert run(argv + ["--normalized", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        "1,0,0,0,-0.25\n0,1,0,0,0\n0,0,1,0,0\n0,0,0,1,0\n-0.25,0,0,0,1\n"
+    )
+    assert len(calls) == 2
 
 
 def test_constants_csv(capsys):

@@ -12,22 +12,81 @@ from haar_riesz import (
     GramMatrix,
     InputError,
     StepSet,
+    bessel_certificate,
     build_gram,
+    certified_lower_bound,
     eig_bounds,
     enumerate_family,
+    inner_product,
     perturbation_demo,
     psd_certificate,
+    random_stepset,
+    restricted_norm_sq,
     riesz_constant,
     verify_bessel,
     verify_riesz,
 )
 from haar_riesz.counterexample import TWO_THIRDS_SET, zigzag_coefficients
-from haar_riesz.gram import _exact_psd, _extreme_eigenvalues, _jacobi_vector
+from haar_riesz.gram import (
+    _elimination_order,
+    _exact_psd,
+    _extreme_eigenvalues,
+    _jacobi_vector,
+)
 
-from conftest import leibniz_det, psd_by_principal_minors, step_sets
+from conftest import (
+    dense_exact_psd,
+    dyadic_intervals,
+    leibniz_det,
+    psd_by_principal_minors,
+    step_sets,
+)
 
 FULL = StepSet(((0, 1),))
 PAIR = (DyadicInterval(0, 0), DyadicInterval(1, 1))
+
+
+def pairwise_gram(family, region):
+    """Reference Gram entries: one restricted_norm_sq or inner_product per pair."""
+    return tuple(
+        tuple(
+            restricted_norm_sq(first, region) if i == j else inner_product(first, second, region)
+            for j, second in enumerate(family)
+        )
+        for i, first in enumerate(family)
+    )
+
+
+def riesz_rows(gram, shift):
+    """G − shift·D, D the diagonal of G."""
+    rows = [list(row) for row in gram.entries]
+    for i in range(gram.size):
+        rows[i][i] -= shift * gram.entries[i][i]
+    return rows
+
+
+def bessel_rows(gram, bound):
+    """bound·D − G, D the diagonal of G."""
+    rows = [[-x for x in row] for row in gram.entries]
+    for i in range(gram.size):
+        rows[i][i] += bound * gram.entries[i][i]
+    return rows
+
+
+def near(value: float, offset: F) -> F:
+    """A rational within 2⁻³⁰ of a float, moved by an exact offset."""
+    return F(value).limit_denominator(1 << 30) + offset
+
+
+def dyadic_pencils(gram, p):
+    """Riesz and Bessel pencils of a dyadic Gram matrix on both sides of the
+    spectral ends, at the theorem's constants, and at the shift 1 where the
+    pencil's diagonal vanishes."""
+    low, high = eig_bounds(GramMatrix(gram.entries, gram.labels, normalized=True))
+    eps = F(1, 10**6)
+    shifts = [riesz_constant(p) if p > F(2, 3) else F(1, 100), near(low, -eps), near(low, eps), F(1)]
+    bounds = [1 / p, near(high, -eps), near(high, eps), F(1)]
+    return [riesz_rows(gram, s) for s in shifts] + [bessel_rows(gram, b) for b in bounds]
 
 
 def identity_gram(n):
@@ -73,6 +132,32 @@ class TestBuildGram:
         assert len(csv.strip().split("\n")) == 2
         # 17 significant digits round-trip
         assert float(csv.split(",")[1].split("\n")[0]) == float(F(-1, 6))
+
+
+    @given(
+        step_sets(denominators=(3, 5, 7, 8, 12, 16, 64)),
+        st.lists(dyadic_intervals(max_level=7), max_size=12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_pairwise_inner_products(self, region, family):
+        # arbitrary order, repeats and non-admissible members included
+        assert build_gram(family, region).entries == pairwise_gram(family, region)
+
+    def test_two_thirds_set_family(self):
+        family = enumerate_family(6, TWO_THIRDS_SET, F(1, 2))
+        assert len(family) == 85
+        assert build_gram(family, TWO_THIRDS_SET).entries == pairwise_gram(
+            family, TWO_THIRDS_SET
+        )
+
+    def test_zigzag_family(self):
+        # 14 intervals down to level 26: entries come from ancestor chains,
+        # never from a table over a whole dyadic level
+        family = zigzag_coefficients(13).support()
+        assert max(i.level for i in family) == 26
+        assert build_gram(family, TWO_THIRDS_SET).entries == pairwise_gram(
+            family, TWO_THIRDS_SET
+        )
 
 
 class TestEigBounds:
@@ -204,6 +289,71 @@ class TestPsdCertificate:
         assert set(verdicts) == {True, False}
         assert any(v and leibniz_det(m) == 0 for m, v in zip(corpus, verdicts))
 
+    @given(
+        step_sets(),
+        st.integers(1, 4),
+        st.sampled_from([F(1, 2), F(2, 3), F(3, 4), F(9, 10)]),
+        st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_principal_minors_on_dyadic_pencils(self, region, depth, p, data):
+        family = enumerate_family(depth, region, p)
+        if not family:
+            return
+        chosen = data.draw(
+            st.lists(st.sampled_from(range(len(family))), min_size=1, max_size=6, unique=True)
+        )
+        gram = build_gram([family[i] for i in sorted(chosen)], region)
+        for rows in dyadic_pencils(gram, p):
+            assert _exact_psd(rows) is psd_by_principal_minors(rows), rows
+
+    def test_matches_dense_reference(self):
+        """Pencils up to n ≈ 60 against the dense largest-pivot LDLᵀ."""
+        grams = [
+            (build_gram(enumerate_family(5, region, p), region), p)
+            for region, p in [
+                (StepSet(((0, 1),)), F(1)),  # orthogonal: pencils at 1 vanish
+                (TWO_THIRDS_SET, F(1, 2)),
+                (TWO_THIRDS_SET, F(2, 3)),
+            ]
+        ]
+        # family sizes 58, 11, 37, 10 and 19; the dense reference is O(n³)
+        for bias, seed, p in [
+            (0.6, 1000, F(1, 2)),
+            (0.6, 1003, F(43, 64)),
+            (0.7, 1004, F(43, 64)),
+            (0.6, 1006, F(3, 4)),
+            (0.7, 1007, F(3, 4)),
+        ]:
+            region = random_stepset(8, bias, seed)
+            grams.append((build_gram(enumerate_family(5, region, p), region), p))
+        verdicts = []
+        for gram, p in grams:
+            for rows in dyadic_pencils(gram, p):
+                verdict = dense_exact_psd(rows)
+                assert _exact_psd(rows) is verdict
+                verdicts.append((verdict, not any(any(row) for row in rows)))
+        assert max(gram.size for gram, _ in grams) >= 50
+        assert {v for v, _ in verdicts} == {True, False}
+        assert (True, True) in verdicts  # singular PSD: Bessel at p = 1 on the full set
+
+    @given(st.lists(dyadic_intervals(max_level=6), unique=True, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_elimination_order_is_perfect_on_nested_pattern(self, family):
+        # nested-or-disjoint intervals: the nesting pattern is chordal, and
+        # each vertex's neighbours later in the order must form a clique
+        n = len(family)
+        nested = [
+            {j: True for j in range(n) if j != i and (family[i].contains(family[j]) or family[j].contains(family[i]))}
+            for i in range(n)
+        ]
+        order = _elimination_order(nested)
+        assert sorted(order) == list(range(n))
+        position = {v: k for k, v in enumerate(order)}
+        for v in order:
+            later = [u for u in nested[v] if position[u] > position[v]]
+            assert all(b in nested[a] for a in later for b in later if a != b)
+
     @given(step_sets(), st.integers(0, 3))
     @settings(max_examples=25, deadline=None)
     def test_monotone_in_shift(self, region, depth):
@@ -261,6 +411,15 @@ class TestVerifyBessel:
         family = enumerate_family(6, TWO_THIRDS_SET, F(2, 3))
         assert verify_bessel(family, TWO_THIRDS_SET, F(2, 3))
 
+    def test_gram_level_certificate(self):
+        family = enumerate_family(4, TWO_THIRDS_SET, F(1, 2))
+        gram = build_gram(family, TWO_THIRDS_SET)
+        assert bessel_certificate(gram, F(1, 2))
+        # λ_max of the pencil lies above 1, so the bound 1 fails
+        assert not bessel_certificate(gram, F(1))
+        with pytest.raises(InputError):
+            bessel_certificate(gram, F(0))
+
     @given(step_sets(), st.integers(0, 4))
     @settings(max_examples=25, deadline=None)
     def test_upper_bound_everywhere(self, region, depth):
@@ -272,6 +431,27 @@ class TestVerifyBessel:
         gram = build_gram(family, region, normalized=True)
         _, high = eig_bounds(gram)
         assert high <= float(1 / p) + 1e-8
+
+
+class TestReflection:
+    """x ↦ 1−x maps the admissible family onto itself and only flips Haar
+    signs, so sizes, verdicts and certified brackets cannot change."""
+
+    @given(step_sets(), st.integers(0, 4), st.sampled_from([F(43, 64), F(3, 4), F(9, 10)]))
+    @settings(max_examples=25, deadline=None)
+    def test_verdicts_unchanged(self, region, depth, p):
+        mirror = StepSet(tuple((1 - right, 1 - left) for left, right in region.intervals))
+        family = enumerate_family(depth, region, p)
+        mirrored = enumerate_family(depth, mirror, p)
+        assert sorted(
+            DyadicInterval(i.level, (1 << i.level) - 1 - i.index) for i in family
+        ) == mirrored
+        for c in (riesz_constant(p), F(1, 2), F(1)):
+            assert verify_riesz(family, region, c) == verify_riesz(mirrored, mirror, c)
+        assert verify_bessel(family, region, p) == verify_bessel(mirrored, mirror, p)
+        assert certified_lower_bound(region, p, depth) == certified_lower_bound(
+            mirror, p, depth
+        )
 
 
 class TestPerturbationDemo:

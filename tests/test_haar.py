@@ -223,6 +223,22 @@ class TestEnumerateFamily:
         with pytest.raises(InputError):
             enumerate_family(2, FULL, F(0))
 
+    @given(
+        step_sets(),
+        st.integers(0, 6),
+        st.sampled_from([F(1, 3), F(1, 2), F(2, 3), F(43, 64), F(3, 4), F(9, 10), F(1)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_density_loop(self, region, depth, p):
+        # reference: one exact density per interval, as the definition reads
+        expected = [
+            DyadicInterval(level, index)
+            for level in range(depth + 1)
+            for index in range(1 << level)
+            if density(region, DyadicInterval(level, index)) >= p
+        ]
+        assert enumerate_family(depth, region, p) == expected
+
 
 class TestCoefficientMap:
     def test_drops_zeros(self):

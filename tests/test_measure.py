@@ -13,8 +13,9 @@ from haar_riesz import (
     normalize,
 )
 from haar_riesz.haar import halves
+from haar_riesz.measure import measures_below
 
-from conftest import dyadic_intervals, step_sets
+from conftest import clip_stepset, dyadic_intervals, step_sets
 
 
 def indicator_of_pairs(pairs, x):
@@ -98,6 +99,24 @@ class TestIntersectMeasure:
         assert intersect_measure(region, interval) + intersect_measure(
             region.complement(), interval
         ) == interval.measure
+
+
+class TestMeasuresBelow:
+    def test_two_thirds_set(self):
+        region = StepSet(((0, F(2, 3)),))
+        points = [F(0), F(1, 2), F(2, 3), F(3, 4), F(1)]
+        assert measures_below(region, points) == [0, F(1, 2), F(2, 3), F(2, 3), F(2, 3)]
+
+    @given(
+        step_sets(),
+        st.lists(st.fractions(min_value=0, max_value=1, max_denominator=48), max_size=12),
+    )
+    def test_matches_clipped_measure(self, region, points):
+        # oracle: the measure of region ∩ [0, x), clipped piece by piece
+        points = sorted(points)
+        assert measures_below(region, points) == [
+            clip_stepset(region, F(0), x).measure for x in points
+        ]
 
 
 class TestDensity:

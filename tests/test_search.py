@@ -180,12 +180,6 @@ class TestSearchExtremal:
         assert result.best_ratio == 1.0
         assert result.family_size == 15
 
-    def test_threaded_matches_serial(self, monkeypatch):
-        serial = search_extremal(self.CFG)
-        monkeypatch.setenv("HAAR_RIESZ_THREADS", "4")
-        threaded = search_extremal(self.CFG)
-        assert serial == threaded
-
     def test_config_validation(self):
         with pytest.raises(InputError):
             SearchConfig(p=F(3, 4), depth=-1, cell_resolution=6, iterations=1, seed=0)
