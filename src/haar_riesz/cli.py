@@ -30,7 +30,7 @@ from .haar import CoefficientMap, enumerate_family
 from .measure import StepSet
 from .rational import format_rational, parse_rational, render_float
 from .search import SearchConfig, search_extremal
-from .weights import WeightConfig, telescope_check, verify_grid
+from .weights import MAX_GRID, WeightConfig, telescope_check, verify_grid
 
 
 def _write(args, text: str):
@@ -147,6 +147,9 @@ def cmd_counterexample(args) -> int:
     return 0
 
 
+MAX_P_LIST = 10_000  # values a --p-list range may hold
+
+
 def _parse_p_list(spec: str) -> list[Fraction]:
     import os
 
@@ -161,13 +164,18 @@ def _parse_p_list(spec: str) -> list[Fraction]:
         start, stop, step = (parse_rational(t) for t in parts)
         if step <= 0:
             raise InputError("range step must be positive")
-        values = []
-        current = start
-        while current <= stop:
-            values.append(current)
-            current += step
-        return values
+        count = max(0, (stop - start) // step + 1)
+        if count > MAX_P_LIST:
+            raise InputError(
+                f"range {spec} holds {count} values, more than {MAX_P_LIST}"
+            )
+        return _range_values(start, step, count)
     return [parse_rational(t) for t in spec.split(",") if t]
+
+
+def _range_values(start: Fraction, step: Fraction, count: int) -> list[Fraction]:
+    """start, start + step, …: ``count`` values, exact."""
+    return [start + k * step for k in range(count)]
 
 
 def cmd_constants(args) -> int:
@@ -310,7 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-weights", help="exact grid sweep of the weight-curve inequalities")
     p.add_argument("--p", type=_fraction_arg, required=True)
-    p.add_argument("--grid", type=int, default=256, help="grid denominator (default 256)")
+    p.add_argument(
+        "--grid",
+        type=int,
+        default=256,
+        help=f"grid denominator (default 256, at most {MAX_GRID})",
+    )
     common(p)
     p.set_defaults(func=cmd_verify_weights)
 
@@ -335,7 +348,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--resolution", type=int, required=True)
     p.add_argument("--iters", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument(
+        "--seed",
+        type=int,
+        required=True,
+        help="search seed; iteration i uses splitmix64(seed XOR i), so nearby "
+        "seeds (1 and 2, say) share their draws: use unrelated 64-bit seeds",
+    )
     p.add_argument("--mode", choices=("random", "greedy-flip"), default="random")
     p.add_argument("--bias", type=float, help="fixed cell-inclusion bias (default: cycle)")
     common(p)

@@ -12,6 +12,8 @@ from .errors import InputError
 from .measure import DyadicInterval, StepSet, intersect_measure, measures_below
 from .rational import format_rational, parse_rational
 
+MAX_DEPTH = 16  # enumerate_family reads 2^depth + 1 masses: 65537 at the cap
+
 
 @dataclass(frozen=True)
 class PiecewiseConstant:
@@ -250,11 +252,32 @@ def inner_product(
 
 
 def combination(coeffs: CoefficientMap, region: StepSet) -> PiecewiseConstant:
-    """The exact step function Σ a_I · h_I · 1_E."""
-    total = PiecewiseConstant.zero()
+    """The exact step function Σ a_I · h_I · 1_E.
+
+    Each term a·h_I is the jumps −a, +2a, −a at the left end, the midpoint
+    and the right end of I.  All points lie on the grid of step 2^-(M+1),
+    M the deepest level, so they are kept as integer grid positions, sorted
+    once, and the prefix sums of the jumps are the values between them.
+    """
+    shift = coeffs.max_level() + 1
+    jumps: dict[int, Fraction] = {}
     for interval, a in coeffs.items():
-        total = total + haar_function(interval) * a
-    return total.restrict(region)
+        half = 1 << (shift - interval.level - 1)
+        left = interval.index * 2 * half
+        for point, jump in ((left, -a), (left + half, 2 * a), (left + 2 * half, -a)):
+            jumps[point] = jumps.get(point, 0) + jump
+    scale = 1 << shift
+    breakpoints = [Fraction(0)]
+    values = []
+    running = jumps.pop(0, Fraction(0))
+    jumps.pop(scale, None)
+    for point in sorted(jumps):
+        breakpoints.append(Fraction(point, scale))
+        values.append(running)
+        running += jumps[point]
+    breakpoints.append(Fraction(1))
+    values.append(running)
+    return PiecewiseConstant(tuple(breakpoints), tuple(values)).restrict(region)
 
 
 def norm_sq(f: PiecewiseConstant) -> Fraction:
@@ -273,10 +296,13 @@ def enumerate_family(depth: int, region: StepSet, p: Fraction) -> list[DyadicInt
 
     Uses the weak inequality density ≥ p (a coefficient is forced to zero only
     by a strict shortfall), in (level, index) order.  Every level's masses are
-    differences of |E ∩ [0, k/2^depth)|, taken from one sweep of E.
+    differences of |E ∩ [0, k/2^depth)|, taken from one sweep of E.  Depths
+    past ``MAX_DEPTH`` are refused before anything is allocated.
     """
     if depth < 0:
         raise InputError(f"depth must be >= 0, got {depth}")
+    if depth > MAX_DEPTH:
+        raise InputError(f"depth must be <= {MAX_DEPTH}, got {depth}")
     p = Fraction(p)
     if not 0 < p <= 1:
         raise InputError(f"threshold must satisfy 0 < p <= 1, got {p}")

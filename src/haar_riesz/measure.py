@@ -24,7 +24,7 @@ def _as_fraction(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DyadicInterval:
     """The interval [index/2^level, (index+1)/2^level) inside [0,1)."""
 

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 from .constants import riesz_constant
 from .errors import ConsistencyError, InputError
 from .gram import build_gram, eig_bounds, psd_certificate
-from .haar import enumerate_family
+from .haar import MAX_DEPTH, enumerate_family
 from .measure import StepSet
 
 _MASK64 = (1 << 64) - 1
@@ -27,6 +27,8 @@ _BIAS_CYCLE = (0.35, 0.5, 0.65, 0.8, 0.9)
 _GREEDY_STAGNATION_LIMIT = 32  # consecutive rejected flips before a restart
 _GREEDY_RESTART_STREAM = 1 << 32  # seed-derivation offsets for greedy substreams
 _GREEDY_FLIP_STREAM = 1 << 33
+
+MAX_RESOLUTION = 16  # a step set is drawn cell by cell: 2^16 cells at the cap
 
 
 def splitmix64(state: int) -> Tuple[int, int]:
@@ -43,7 +45,13 @@ def splitmix64(state: int) -> Tuple[int, int]:
 
 
 def derive_seed(seed: int, index: int) -> int:
-    """Per-task seed: the splitmix64 output for state (seed XOR index)."""
+    """Per-task seed: the splitmix64 output for state (seed XOR index).
+
+    Because the state is ``seed XOR index``, nearby seeds share their draws:
+    for i < 24, every ``derive_seed(2, i)`` is some ``derive_seed(1, i')``
+    with i' < 24, so searches with seeds 1 and 2 score the same candidates in
+    another order.  Spread independent runs with unrelated 64-bit seeds.
+    """
     _, out = splitmix64((seed ^ index) & _MASK64)
     return out
 
@@ -73,6 +81,8 @@ def random_stepset(resolution: int, density_bias: float, seed: int) -> StepSet:
     """
     if resolution < 1:
         raise InputError(f"resolution must be >= 1, got {resolution}")
+    if resolution > MAX_RESOLUTION:
+        raise InputError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution}")
     if not 0.0 < density_bias <= 1.0:
         raise InputError(f"density bias must lie in (0, 1], got {density_bias}")
     rng = SplitMix64(seed)
@@ -98,9 +108,16 @@ class SearchConfig:
         object.__setattr__(self, "seed", self.seed & _MASK64)
         if self.depth < 0:
             raise InputError(f"depth must be >= 0, got {self.depth}")
+        if self.depth > MAX_DEPTH:
+            raise InputError(f"depth must be <= {MAX_DEPTH}, got {self.depth}")
         if self.cell_resolution < 1:
             raise InputError(
                 f"cell resolution must be >= 1, got {self.cell_resolution}"
+            )
+        if self.cell_resolution > MAX_RESOLUTION:
+            raise InputError(
+                f"cell resolution must be <= {MAX_RESOLUTION}, "
+                f"got {self.cell_resolution}"
             )
         if self.iterations < 1:
             raise InputError(f"iterations must be >= 1, got {self.iterations}")
@@ -281,7 +298,11 @@ def _search_greedy(cfg: SearchConfig, floor: Optional[float]):
         if stagnation >= _GREEDY_STAGNATION_LIMIT:
             restarts += 1
             cells = fresh_cells(restarts)
-            current_ratio, _ = _evaluate(to_set(cells), cfg, floor)
+            fresh = to_set(cells)
+            current_ratio, size = _evaluate(fresh, cfg, floor)
+            key = (current_ratio, fresh.intervals)
+            if key < best[0]:
+                best = (key, fresh, current_ratio, size)
             stagnation = 0
     _, region, ratio, size = best
     return region, ratio, size, history
@@ -292,9 +313,11 @@ def search_extremal(cfg: SearchConfig) -> SearchResult:
 
     Random mode scores independent draws (merged by minimum ratio with a
     deterministic lexicographic tie-break on the set); greedy-flip mode
-    hill-descends by single-cell flips, restarting after stagnation.  Every
-    evaluated ratio is checked against the certified theorem floor.  The
-    returned record carries an exact certified bracket for the winning set.
+    hill-descends by single-cell flips, restarting after stagnation; each
+    restart's fresh set competes for the best as the flips do, though
+    ``history`` keeps one entry per iteration.  Every evaluated ratio is
+    checked against the certified theorem floor.  The returned record
+    carries an exact certified bracket for the winning set.
     """
     floor = _floor_for(cfg.p)
     if cfg.mode == "random":

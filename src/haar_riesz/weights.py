@@ -23,6 +23,8 @@ from .measure import DyadicInterval, StepSet, density, intersect_measure
 
 _TWO_THIRDS = Fraction(2, 3)
 
+MAX_GRID = 4096  # verify_grid decides (grid+1)² pairs: about 16.8M at the cap
+
 
 @dataclass(frozen=True)
 class WeightConfig:
@@ -73,6 +75,36 @@ def check_branch_agreement(cfg: WeightConfig) -> bool:
     return weight_mass(q, cfg) == weight_mass_unclipped(q, cfg)
 
 
+def _split_failure(
+    n1: int, d1: int, n2: int, d2: int, nm: int, dm: int, all_a: bool
+) -> Optional[str]:
+    """The split decision from the curve values g1 = n1/d1, g2 = n2/d2 and
+    gm = nm/dm (positive denominators), in integers only.
+
+    With L, B, K as in :func:`check_split_inequality`:
+
+        K = k / (2·d1·d2·dm),   k = (n1·d2 + n2·d1)·dm − 2·nm·d1·d2,
+        L = l / (2·d1·d2),      l = n1·d2 + n2·d1 − 2·d1·d2,
+        B = b / (d1·d2),        b = n2·d1 − n1·d2,
+
+    so sign(k) = sign(K), sign(l) = sign(L), and B² ≤ 4LK ⇔ b²·dm ≤ l·k.
+    Returns "a0" when K < 0, "all-a" when ``all_a`` asks for the all-a
+    decision and it fails, and None when the inequality holds.
+    """
+    s = n1 * d2 + n2 * d1
+    dd = d1 * d2
+    k = s * dm - 2 * nm * dd
+    if k < 0:
+        return "a0"
+    if not all_a:
+        return None
+    l = s - 2 * dd
+    b = n2 * d1 - n1 * d2
+    if l > 0:
+        return None if b * b * dm <= l * k else "all-a"
+    return None if l == 0 and b == 0 else "all-a"
+
+
 def check_split_inequality(
     q1: Fraction, q2: Fraction, cfg: WeightConfig, require_mid: bool = True
 ) -> bool:
@@ -86,26 +118,30 @@ def check_split_inequality(
     L = B = 0, K ≥ 0).  With require_mid the midpoint must meet the threshold,
     which is the regime where the inequality is claimed for every a; without
     it only a = 0 is decided, i.e. midpoint convexity K ≥ 0.
+
+    The decision runs in integers: with g = n/d in lowest terms, K, L and B
+    are the integers k, l, b over positive denominators, and the test reads
+    k ≥ 0 and either l > 0 with b²·dm ≤ l·k, or l = b = 0
+    (see :func:`_split_failure`).
     """
     q1, q2 = Fraction(q1), Fraction(q2)
     if not (0 <= q1 <= 1 and 0 <= q2 <= 1):
         raise InputError(f"densities must lie in [0,1], got ({q1}, {q2})")
     mid = (q1 + q2) / 2
-    g1 = weight_mass(q1, cfg)
-    g2 = weight_mass(q2, cfg)
-    gm = weight_mass(mid, cfg)
-    K = (g1 + g2) / 2 - gm
-    if not require_mid:
-        return K >= 0
-    if mid < cfg.p:
+    if require_mid and mid < cfg.p:
         raise InputError(
             f"midpoint density {mid} below threshold {cfg.p}; use require_mid=False"
         )
-    L = (g1 + g2) / 2 - 1
-    B = g2 - g1
-    if L > 0:
-        return B * B <= 4 * L * K
-    return L == 0 and B == 0 and K >= 0
+    g1 = weight_mass(q1, cfg)
+    g2 = weight_mass(q2, cfg)
+    gm = weight_mass(mid, cfg)
+    failure = _split_failure(
+        g1.numerator, g1.denominator,
+        g2.numerator, g2.denominator,
+        gm.numerator, gm.denominator,
+        require_mid,
+    )
+    return failure is None
 
 
 class MassBounds(NamedTuple):
@@ -346,31 +382,35 @@ def verify_grid(cfg: WeightConfig, grid: int = 256) -> GridReport:
     Ordered pairs with midpoint ≥ p get the full all-a discriminant decision;
     all pairs get the a = 0 midpoint-convexity check; every grid point gets
     both mass bounds.  Failures are returned, not raised.
+
+    The curve is evaluated once, as n/d in lowest terms, on the half grid
+    {k/(2·grid)}, so every midpoint (i+j)/(2·grid) is on it.  Each pair is
+    then decided from integers only: the threshold test (i+j)/(2·grid) ≥ p
+    reads (i+j)·p_den ≥ 2·p_num·grid, and the split decision uses the
+    integer forms k, l, b of K, L, B (see :func:`_split_failure`).  At most
+    ``MAX_GRID`` is accepted, checked before anything is computed.
     """
     if grid < 1:
         raise InputError(f"grid must be >= 1, got {grid}")
+    if grid > MAX_GRID:
+        raise InputError(f"grid must be <= {MAX_GRID}, got {grid}")
     # precompute the curve on the half grid so midpoints stay on it
     half = [weight_mass(Fraction(k, 2 * grid), cfg) for k in range(2 * grid + 1)]
+    num = [g.numerator for g in half]
+    den = [g.denominator for g in half]
     cap = mass_cap(cfg)
-    two_p = 2 * cfg.p
+    reach = 2 * cfg.p.numerator * grid  # (i+j)·p_den ≥ reach ⇔ midpoint ≥ p
+    p_den = cfg.p.denominator
     gpos_failures = []
     for i in range(grid + 1):
-        g1 = half[2 * i]
+        n1, d1 = num[2 * i], den[2 * i]
         for j in range(grid + 1):
-            g2 = half[2 * j]
-            gm = half[i + j]
-            K = (g1 + g2) / 2 - gm
-            if K < 0:
-                gpos_failures.append((Fraction(i, grid), Fraction(j, grid), "a0"))
-                continue
-            if Fraction(i + j, grid) >= two_p:
-                L = (g1 + g2) / 2 - 1
-                B = g2 - g1
-                ok = B * B <= 4 * L * K if L > 0 else (L == 0 and B == 0)
-                if not ok:
-                    gpos_failures.append(
-                        (Fraction(i, grid), Fraction(j, grid), "all-a")
-                    )
+            kind = _split_failure(
+                n1, d1, num[2 * j], den[2 * j], num[i + j], den[i + j],
+                (i + j) * p_den >= reach,
+            )
+            if kind is not None:
+                gpos_failures.append((Fraction(i, grid), Fraction(j, grid), kind))
     gcomp_failures = []
     for k in range(grid + 1):
         q = Fraction(k, grid)

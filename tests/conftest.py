@@ -7,8 +7,17 @@ from itertools import combinations, permutations
 from math import prod
 
 import hypothesis.strategies as st
+from hypothesis import settings
 
 from haar_riesz import CoefficientMap, DyadicInterval, StepSet
+from haar_riesz.errors import InputError
+from haar_riesz.haar import PiecewiseConstant, haar_function
+from haar_riesz.weights import GridReport, WeightConfig, mass_cap, weight_mass
+
+# Exact arithmetic makes example times vary with the drawn sizes, and the
+# machines running the suite differ in speed, so no test has a deadline.
+settings.register_profile("exact", deadline=None)
+settings.load_profile("exact")
 
 
 @st.composite
@@ -125,3 +134,79 @@ def dense_exact_psd(rows) -> bool:
             for j, cj in column:
                 row_i[j] -= ratio * cj
     return True
+
+
+def reference_combination(coeffs: CoefficientMap, region: StepSet) -> PiecewiseConstant:
+    """Reference Σ a_I · h_I · 1_E: one step-function sum per term.
+
+    The library's earlier route, kept here unchanged as a differential
+    reference for the one-sweep jump construction.
+    """
+    total = PiecewiseConstant.zero()
+    for interval, a in coeffs.items():
+        total = total + haar_function(interval) * a
+    return total.restrict(region)
+
+
+def fraction_split_failure(g1: Fraction, g2: Fraction, gm: Fraction, all_a: bool):
+    """Reference split decision on curve values in Fraction arithmetic.
+
+    K = (g1+g2)/2 − gm decides a = 0; with ``all_a`` the quadratic
+    L·a² + B·a + K must be ≥ 0 for every real a.  Same return convention as
+    the library's integer helper: "a0", "all-a" or None.
+    """
+    K = (g1 + g2) / 2 - gm
+    if K < 0:
+        return "a0"
+    if not all_a:
+        return None
+    L = (g1 + g2) / 2 - 1
+    B = g2 - g1
+    ok = B * B <= 4 * L * K if L > 0 else (L == 0 and B == 0)
+    return None if ok else "all-a"
+
+
+def reference_verify_grid(cfg: WeightConfig, grid: int = 256) -> GridReport:
+    """Exact verification of the split inequality and the mass bounds on the
+    grid {k/grid : 0 ≤ k ≤ grid}.
+
+    The library's earlier Fraction route, kept here unchanged as a
+    differential reference for the integer-form grid decisions.
+
+    Ordered pairs with midpoint ≥ p get the full all-a discriminant decision;
+    all pairs get the a = 0 midpoint-convexity check; every grid point gets
+    both mass bounds.  Failures are returned, not raised.
+    """
+    if grid < 1:
+        raise InputError(f"grid must be >= 1, got {grid}")
+    # precompute the curve on the half grid so midpoints stay on it
+    half = [weight_mass(Fraction(k, 2 * grid), cfg) for k in range(2 * grid + 1)]
+    cap = mass_cap(cfg)
+    two_p = 2 * cfg.p
+    gpos_failures = []
+    for i in range(grid + 1):
+        g1 = half[2 * i]
+        for j in range(grid + 1):
+            g2 = half[2 * j]
+            gm = half[i + j]
+            K = (g1 + g2) / 2 - gm
+            if K < 0:
+                gpos_failures.append((Fraction(i, grid), Fraction(j, grid), "a0"))
+                continue
+            if Fraction(i + j, grid) >= two_p:
+                L = (g1 + g2) / 2 - 1
+                B = g2 - g1
+                ok = B * B <= 4 * L * K if L > 0 else (L == 0 and B == 0)
+                if not ok:
+                    gpos_failures.append(
+                        (Fraction(i, grid), Fraction(j, grid), "all-a")
+                    )
+    gcomp_failures = []
+    for k in range(grid + 1):
+        q = Fraction(k, grid)
+        g = half[2 * k]
+        if not (q <= g and g <= cap * q):
+            gcomp_failures.append(q)
+    return GridReport(
+        cfg.p, Fraction(1, grid), tuple(gpos_failures), tuple(gcomp_failures), cap
+    )

@@ -236,3 +236,46 @@ class TestExitCodes:
 
     def test_negative_n(self, capsys):
         assert run(["counterexample", "--n", "-3"]) == 2
+
+
+class TestResourceCaps:
+    """Oversized inputs exit 2 before anything is allocated."""
+
+    def test_grid_cap(self, capsys, monkeypatch):
+        from haar_riesz import weights
+
+        def reached(*args):
+            raise AssertionError("the grid sweep was reached")
+
+        monkeypatch.setattr(weights, "weight_mass", reached)
+        code = run(["verify-weights", "--p", "3/4", "--grid", str(weights.MAX_GRID + 1)])
+        assert code == 2
+        assert "grid" in capsys.readouterr().err
+
+    def test_p_list_range_cap(self, capsys, monkeypatch):
+        import haar_riesz.cli as cli
+
+        def reached(*args):
+            raise AssertionError("the range was expanded")
+
+        monkeypatch.setattr(cli, "_range_values", reached)
+        assert run(["constants", "--p-list", f"0:1:1/{cli.MAX_P_LIST}"]) == 2
+        assert run(["constants", "--p-list", "0:1:1/1000000000000"]) == 2
+        assert "values" in capsys.readouterr().err
+        with pytest.raises(AssertionError):  # the cap itself is accepted
+            run(["constants", "--p-list", f"1:{cli.MAX_P_LIST}:1"])
+
+    def test_p_list_range_values(self):
+        from haar_riesz.cli import _parse_p_list
+
+        assert _parse_p_list("7/10:9/10:1/10") == [F(7, 10), F(8, 10), F(9, 10)]
+        assert _parse_p_list("1/2:1:1/3") == [F(1, 2), F(5, 6)]
+        assert _parse_p_list("1:1/2:1/10") == []
+
+    def test_search_resolution_cap(self):
+        from haar_riesz.search import MAX_RESOLUTION
+
+        args = ["search", "--p", "3/4", "--depth", "2", "--iters", "1", "--seed", "1"]
+        args += ["--resolution", str(MAX_RESOLUTION + 1)]
+        for mode in ("random", "greedy-flip"):
+            assert run(args + ["--mode", mode]) == 2

@@ -21,7 +21,16 @@ from haar_riesz import (
     restricted_norm_sq,
 )
 
-from conftest import clip_stepset, coefficient_maps, dyadic_intervals, step_sets
+from conftest import (
+    clip_stepset,
+    coefficient_maps,
+    dyadic_intervals,
+    reference_combination,
+    step_sets,
+)
+from haar_riesz import haar
+from haar_riesz.counterexample import zigzag_coefficients
+from haar_riesz.haar import MAX_DEPTH
 
 TWO_THIRDS = StepSet(((0, F(2, 3)),))
 FULL = StepSet(((0, 1),))
@@ -173,7 +182,7 @@ class TestCombination:
         assert f == expected
 
     @given(coefficient_maps(), step_sets())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_double_count_identity(self, coeffs, region):
         direct = norm_sq(combination(coeffs, region))
         double = sum(
@@ -183,8 +192,39 @@ class TestCombination:
         )
         assert direct == double
 
+    @given(coefficient_maps(max_level=6, max_terms=10), step_sets())
+    @settings(max_examples=150)
+    def test_matches_term_by_term_sum(self, coeffs, region):
+        assert combination(coeffs, region) == reference_combination(coeffs, region)
+
+    def test_zigzag_matches_term_by_term_sum(self):
+        # deep, nested supports: the zig-zag family reaches level 24 at n = 12
+        for n in (0, 1, 5, 12):
+            coeffs = zigzag_coefficients(n)
+            assert combination(coeffs, TWO_THIRDS) == reference_combination(
+                coeffs, TWO_THIRDS
+            )
+
+    @given(
+        coefficient_maps(),
+        coefficient_maps(),
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        step_sets(),
+    )
+    @settings(max_examples=80)
+    def test_linear_in_coefficients(self, first, second, alpha, beta, region):
+        mixed = {}
+        for interval, a in first.items():
+            mixed[interval] = mixed.get(interval, 0) + alpha * a
+        for interval, b in second.items():
+            mixed[interval] = mixed.get(interval, 0) + beta * b
+        assert combination(CoefficientMap(mixed), region) == (
+            combination(first, region) * alpha + combination(second, region) * beta
+        )
+
     @given(coefficient_maps())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_parseval_on_full_set(self, coeffs):
         assert norm_sq(combination(coeffs, FULL)) == sum(
             a * a * F(1, 2**i.level) for i, a in coeffs.items()
@@ -223,12 +263,23 @@ class TestEnumerateFamily:
         with pytest.raises(InputError):
             enumerate_family(2, FULL, F(0))
 
+    def test_depth_cap_checked_before_the_sweep(self, monkeypatch):
+        def reached(*args):
+            raise AssertionError("the sweep over 2^depth points was reached")
+
+        monkeypatch.setattr(haar, "measures_below", reached)
+        for depth in (MAX_DEPTH + 1, 10**9):
+            with pytest.raises(InputError):
+                enumerate_family(depth, FULL, F(1, 2))
+        with pytest.raises(AssertionError):  # the cap itself is accepted
+            enumerate_family(MAX_DEPTH, FULL, F(1, 2))
+
     @given(
         step_sets(),
         st.integers(0, 6),
         st.sampled_from([F(1, 3), F(1, 2), F(2, 3), F(43, 64), F(3, 4), F(9, 10), F(1)]),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_matches_density_loop(self, region, depth, p):
         # reference: one exact density per interval, as the definition reads
         expected = [

@@ -156,6 +156,28 @@ class TestDyadicInterval:
         assert DyadicInterval(1, 1) < DyadicInterval(2, 0)
         assert sorted([DyadicInterval(2, 1), DyadicInterval(1, 0)])[0].level == 1
 
+    def test_slotted_value_semantics(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        interval = DyadicInterval(3, 5)
+        assert not hasattr(interval, "__dict__")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(interval, protocol))
+            assert clone == interval and hash(clone) == hash(interval)
+        assert copy.deepcopy(interval) == interval
+        assert copy.copy(interval) == interval
+        assert dataclasses.replace(interval, index=4) == DyadicInterval(3, 4)
+        with pytest.raises(InputError):  # replace still validates
+            dataclasses.replace(interval, index=8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            interval.level = 2
+        assert hash(interval) == hash((3, 5))
+        assert {DyadicInterval(3, 5): 1}[interval] == 1
+        assert DyadicInterval(3, 4) < interval < DyadicInterval(4, 0)
+        assert (interval >= DyadicInterval(3, 5)) and not (interval > interval)
+
 
 class TestJson:
     def test_round_trip(self):

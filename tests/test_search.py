@@ -18,7 +18,10 @@ from haar_riesz import (
     search_extremal,
     splitmix64,
 )
+from haar_riesz import search
 from haar_riesz.counterexample import TWO_THIRDS_SET
+from haar_riesz.haar import MAX_DEPTH
+from haar_riesz.search import MAX_RESOLUTION
 
 FULL = StepSet(((0, 1),))
 
@@ -63,6 +66,17 @@ class TestRandomStepSet:
             random_stepset(3, 0.0, 1)
         with pytest.raises(InputError):
             random_stepset(3, 1.5, 1)
+
+    def test_resolution_cap_checked_before_drawing(self, monkeypatch):
+        def reached(*args):
+            raise AssertionError("the cell generator was reached")
+
+        monkeypatch.setattr(search, "SplitMix64", reached)
+        for resolution in (MAX_RESOLUTION + 1, 10**9):
+            with pytest.raises(InputError):
+                random_stepset(resolution, 0.5, 1)
+        with pytest.raises(AssertionError):  # the cap itself is accepted
+            random_stepset(MAX_RESOLUTION, 0.5, 1)
 
     def test_cells_align_to_resolution(self):
         region = random_stepset(4, 0.5, 77)
@@ -189,6 +203,33 @@ class TestSearchExtremal:
             SearchConfig(
                 p=F(3, 4), depth=1, cell_resolution=6, iterations=1, seed=0, mode="anneal"
             )
+        with pytest.raises(InputError):
+            SearchConfig(
+                p=F(3, 4), depth=1, cell_resolution=MAX_RESOLUTION + 1, iterations=1, seed=0
+            )
+        with pytest.raises(InputError):
+            SearchConfig(
+                p=F(3, 4), depth=MAX_DEPTH + 1, cell_resolution=6, iterations=1, seed=0
+            )
+
+    def test_greedy_restart_set_can_win(self):
+        # 150 iterations restart several times; before restarts were compared
+        # with the best set this reported 0.6097603 while a restart set scored
+        # 0.60650955
+        cfg = SearchConfig(
+            p=F(43, 64),
+            depth=3,
+            cell_resolution=5,
+            iterations=150,
+            seed=26,
+            mode="greedy-flip",
+        )
+        result = search_extremal(cfg)
+        assert len(result.history) == 150
+        assert result.best_ratio <= 0.60650955
+        assert result.best_ratio < min(r for _, r in result.history)
+        low, size = min_ratio(result.best_set, cfg.p, cfg.depth)
+        assert (low, size) == (result.best_ratio, result.family_size)
 
     def test_result_json(self):
         result = search_extremal(

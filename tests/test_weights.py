@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from haar_riesz import (
@@ -32,7 +32,10 @@ from haar_riesz import (
 from haar_riesz.haar import PiecewiseConstant
 from haar_riesz.search import SplitMix64, derive_seed, random_stepset
 
-from conftest import step_sets
+import conftest
+from conftest import fraction_split_failure, reference_verify_grid, step_sets
+from haar_riesz import weights
+from haar_riesz.weights import MAX_GRID, _split_failure
 
 TWO_THIRDS = StepSet(((0, F(2, 3)),))
 CFG34 = WeightConfig(F(3, 4))
@@ -188,7 +191,7 @@ class TestWeightProfile:
         assert profile.values[DyadicInterval(2, 3)] == weight_mass(CFG34.p, CFG34) / CFG34.p
 
     @given(step_sets(), st.integers(0, 3), st.sampled_from(P_VALUES))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_bounds(self, region, n, p):
         cfg = WeightConfig(p)
         low, high = weight_profile(region, n, cfg).value_range()
@@ -344,3 +347,143 @@ class TestVerifyGrid:
     def test_grid_validation(self):
         with pytest.raises(InputError):
             verify_grid(CFG34, 0)
+
+
+def _integer_failure(g1, g2, gm, all_a):
+    return _split_failure(
+        g1.numerator, g1.denominator,
+        g2.numerator, g2.denominator,
+        gm.numerator, gm.denominator,
+        all_a,
+    )
+
+
+# curve values that reach the edge cases: g1 = g2 = 1 gives L = B = 0
+EDGE_VALUES = [F(0), F(1, 2), F(1), F(3, 2), F(2), F(4), F(6), F(16)]
+curve_values = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.fractions(min_value=-4, max_value=20, max_denominator=60),
+)
+
+
+def _case(g1, g2, gm):
+    """Which branch of the decision a triple exercises."""
+    K = (g1 + g2) / 2 - gm
+    L = (g1 + g2) / 2 - 1
+    B = g2 - g1
+    if K < 0:
+        return "K<0"
+    if L == 0 and B == 0:
+        return "L=B=0"
+    if L <= 0:
+        return "L<=0"
+    return "equal" if B * B == 4 * L * K else "L>0"
+
+
+class TestIntegerSplitDecision:
+    """The integer forms k, l, b against the Fraction formula for K, L, B."""
+
+    @given(curve_values, curve_values, curve_values, st.booleans())
+    @example(F(1), F(1), F(2), True)  # K < 0
+    @example(F(1, 2), F(1, 2), F(0), True)  # L < 0, K > 0
+    @example(F(1, 2), F(3, 2), F(0), True)  # L = 0, B ≠ 0
+    @example(F(1), F(1), F(1), True)  # L = B = 0, K = 0
+    @example(F(1), F(1), F(1, 2), True)  # L = B = 0, K > 0
+    @example(F(4), F(16), F(6), True)  # B² = 4LK exactly (p = 3/4, q = 1/2, 1)
+    @example(F(4), F(16), F(6), False)
+    @settings(max_examples=400)
+    def test_matches_fraction_formula(self, g1, g2, gm, all_a):
+        assert _integer_failure(g1, g2, gm, all_a) == fraction_split_failure(
+            g1, g2, gm, all_a
+        )
+
+    def test_every_case_covered_and_agrees(self):
+        seen = set()
+        for g1 in EDGE_VALUES:
+            for g2 in EDGE_VALUES:
+                for gm in EDGE_VALUES:
+                    seen.add(_case(g1, g2, gm))
+                    for all_a in (False, True):
+                        assert _integer_failure(g1, g2, gm, all_a) == (
+                            fraction_split_failure(g1, g2, gm, all_a)
+                        )
+        assert seen == {"K<0", "L=B=0", "L<=0", "equal", "L>0"}
+
+    def test_sign_forms(self):
+        # k carries the sign of K; the equality case stays an equality
+        assert _integer_failure(F(1), F(1), F(1) + F(1, 10**30), False) == "a0"
+        assert _integer_failure(F(1), F(1), F(1), False) is None
+        assert _integer_failure(F(4), F(16), F(6), True) is None
+        assert _integer_failure(F(4), F(16), F(6) + F(1, 10**30), True) == "all-a"
+
+
+def _non_convex(real):
+    """A curve with a bump at q = 1/2 and a dip at q = 1: both failure kinds."""
+
+    def fake(q, cfg):
+        q = F(q)
+        return real(q, cfg) + (3 if q == F(1, 2) else 0) - (F(9, 2) if q == 1 else 0)
+
+    return fake
+
+
+class TestVerifyGridReference:
+    @pytest.mark.parametrize("p", [F(171, 256), F(3, 4), F(7, 8), F(1)])
+    @pytest.mark.parametrize("grid", [1, 2, 3, 7, 16, 33])
+    def test_matches_fraction_route(self, p, grid):
+        cfg = WeightConfig(p)
+        assert verify_grid(cfg, grid) == reference_verify_grid(cfg, grid)
+
+    def test_matches_fraction_route_at_256(self):
+        cfg = WeightConfig(F(171, 256))
+        assert verify_grid(cfg, 256) == reference_verify_grid(cfg, 256)
+
+    def test_non_convex_curve_failures(self, monkeypatch):
+        fake = _non_convex(weights.weight_mass)
+        monkeypatch.setattr(weights, "weight_mass", fake)
+        monkeypatch.setattr(conftest, "weight_mass", fake)
+        kinds = set()
+        for p in (F(3, 4), F(7, 8)):
+            cfg = WeightConfig(p)
+            for grid in range(1, 13):
+                report = verify_grid(cfg, grid)
+                # same failures, in the same order, as the Fraction route
+                assert report == reference_verify_grid(cfg, grid)
+                kinds |= {kind for _, _, kind in report.gpos_failures}
+                # the grid 2g holds every point and midpoint of the grid g
+                finer = verify_grid(cfg, 2 * grid)
+                assert set(report.gpos_failures) <= set(finer.gpos_failures)
+                assert set(report.gcomp_failures) <= set(finer.gcomp_failures)
+        assert kinds == {"a0", "all-a"}
+
+    def test_split_inequality_uses_the_same_decision(self, monkeypatch):
+        fake = _non_convex(weights.weight_mass)
+        monkeypatch.setattr(weights, "weight_mass", fake)
+        cfg = CFG34
+        report = verify_grid(cfg, 8)
+        failed = {(q1, q2) for q1, q2, _ in report.gpos_failures}
+        for i in range(9):
+            for j in range(9):
+                q1, q2 = F(i, 8), F(j, 8)
+                require_mid = (q1 + q2) / 2 >= cfg.p
+                holds = check_split_inequality(q1, q2, cfg, require_mid=require_mid)
+                assert holds == ((q1, q2) not in failed)
+
+
+class _Reached(Exception):
+    pass
+
+
+def _fail_if_reached(*args, **kwargs):
+    raise _Reached
+
+
+class TestGridCap:
+    def test_cap_checked_before_the_sweep(self, monkeypatch):
+        monkeypatch.setattr(weights, "weight_mass", _fail_if_reached)
+        with pytest.raises(InputError):
+            verify_grid(CFG34, MAX_GRID + 1)
+        with pytest.raises(InputError):
+            verify_grid(CFG34, 10**12)
+        with pytest.raises(_Reached):  # the cap itself is accepted
+            verify_grid(CFG34, MAX_GRID)
