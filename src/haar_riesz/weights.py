@@ -252,6 +252,18 @@ def induction_step_check(
     all-a split inequality is invoked; coarser coefficients only feed the
     constant base value on each cell and are unconstrained.
     """
+    rhs = _step_rhs(region, coeffs, n, cfg)
+    lhs = weighted_norm_sq(region, coeffs, n + 1, cfg) - weighted_norm_sq(
+        region, coeffs, n, cfg
+    )
+    return StepResult(lhs >= rhs, lhs, rhs)
+
+
+def _step_rhs(
+    region: StepSet, coeffs: CoefficientMap, n: int, cfg: WeightConfig
+) -> Fraction:
+    """Σ_{level(I) = n+1} ‖a_I h_I 1_E‖², after checking that the coefficients
+    fit step n of :func:`induction_step_check`."""
     if n < 0:
         raise InputError(f"need n >= 0, got {n}")
     for interval, _ in coeffs.items():
@@ -265,10 +277,7 @@ def induction_step_check(
                 raise InputError(
                     f"inadmissible coefficient on {interval}: density {q} < {cfg.p}"
                 )
-    lhs = weighted_norm_sq(region, coeffs, n + 1, cfg) - weighted_norm_sq(
-        region, coeffs, n, cfg
-    )
-    rhs = sum(
+    return sum(
         (
             a * a * intersect_measure(region, interval)
             for interval, a in coeffs.items()
@@ -276,7 +285,6 @@ def induction_step_check(
         ),
         Fraction(0),
     )
-    return StepResult(lhs >= rhs, lhs, rhs)
 
 
 def per_interval_check(
@@ -339,14 +347,18 @@ def telescope_check(
         k = 0
     if coeffs.max_level() > k:
         raise InputError(f"coefficients extend past level {k}")
-    base_lhs = weighted_norm_sq(region, coeffs, 0, cfg)
+    # the level-n norm only sees coefficients on levels ≤ n, so each level is
+    # computed once and serves as the new side of step n−1 and the old of step n
+    norms = [weighted_norm_sq(region, coeffs, 0, cfg)]
     root = DyadicInterval(0, 0)
     base_rhs = coeffs[root] ** 2 * intersect_measure(region, root)
-    steps = tuple(
-        induction_step_check(region, coeffs.restrict(n + 1), n, cfg)
-        for n in range(k)
-    )
-    weighted_total = weighted_norm_sq(region, coeffs, k, cfg)
+    steps = []
+    for n in range(k):
+        rhs = _step_rhs(region, coeffs.restrict(n + 1), n, cfg)
+        norms.append(weighted_norm_sq(region, coeffs, n + 1, cfg))
+        lhs = norms[n + 1] - norms[n]
+        steps.append(StepResult(lhs >= rhs, lhs, rhs))
+    base_lhs, weighted_total = norms[0], norms[k]
     norm_total = sum(
         (a * a * intersect_measure(region, i) for i, a in coeffs.items()),
         Fraction(0),
@@ -360,7 +372,7 @@ def telescope_check(
     )
     exact = lhs_sum == weighted_total and rhs_sum == norm_total
     return TelescopeReport(
-        k, base_lhs, base_rhs, steps, weighted_total, norm_total, holds, exact
+        k, base_lhs, base_rhs, tuple(steps), weighted_total, norm_total, holds, exact
     )
 
 

@@ -107,7 +107,11 @@ def dense_exact_psd(rows) -> bool:
     """Reference exact PSD decision: dense LDLᵀ with largest-diagonal pivoting.
 
     This is the library's earlier dense routine, kept here unchanged as a
-    differential reference for the sparse elimination-order LDLᵀ.
+    differential reference for the library's sparse LDLᵀ.  The two share
+    neither the store (a full dense matrix here, only the entries left of the
+    diagonal there) nor the pivot order (largest remaining diagonal here,
+    reverse index order there), so agreement on every matrix, permuted or
+    not, checks that the verdict does not depend on either.
 
     Diagonal-pivoted LDLᵀ: repeatedly pivot on the largest-magnitude remaining
     diagonal entry.  A negative diagonal is an immediate witness of

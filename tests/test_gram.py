@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -15,6 +16,7 @@ from haar_riesz import (
     bessel_certificate,
     build_gram,
     certified_lower_bound,
+    derive_seed,
     eig_bounds,
     enumerate_family,
     inner_product,
@@ -27,12 +29,7 @@ from haar_riesz import (
     verify_riesz,
 )
 from haar_riesz.counterexample import TWO_THIRDS_SET, zigzag_coefficients
-from haar_riesz.gram import (
-    _elimination_order,
-    _exact_psd,
-    _extreme_eigenvalues,
-    _jacobi_vector,
-)
+from haar_riesz.gram import _exact_psd, _extreme_eigenvalues, _jacobi
 
 from conftest import (
     dense_exact_psd,
@@ -204,11 +201,24 @@ class TestEigBounds:
         spectrum = np.linalg.eigvalsh(matrix)
         work = matrix.copy()
         fro = float(np.sqrt((work * work).sum()))
-        off, _ = _jacobi_vector(work, 1e-14 * fro, 64)
+        off, _ = _jacobi(work, 1e-14 * fro, 64)
         assert off <= 1e-14 * fro
         diag = np.sort(np.diag(work))
         assert abs(diag[0] - spectrum[0]) < 1e-9
         assert abs(diag[-1] - spectrum[-1]) < 1e-9
+
+    def test_tiny_rotation_raises_no_warning(self):
+        # a seeded depth-3 family whose sweeps meet an off-diagonal entry so
+        # small that tau² overflows; the rotation is then the identity, and
+        # the bounds are the ones the numpy-scalar rotation gave
+        region = random_stepset(8, 0.7, derive_seed(0xC0FFEE, 4))
+        family = enumerate_family(3, region, F(3, 4))
+        assert len(family) == 8
+        gram = build_gram(family, region, normalized=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            low, high = eig_bounds(gram)
+        assert (low.hex(), high.hex()) == ("0x1.b3d5ffcc6411bp-1", "0x1.2964620074c6bp+0")
 
 
 class TestPsdCertificate:
@@ -337,22 +347,80 @@ class TestPsdCertificate:
         assert {v for v, _ in verdicts} == {True, False}
         assert (True, True) in verdicts  # singular PSD: Bessel at p = 1 on the full set
 
-    @given(st.lists(dyadic_intervals(max_level=6), unique=True, max_size=40))
+    def test_elimination_rules(self):
+        # one small matrix per rule of the LDLᵀ, verdicts by hand
+        assert not _exact_psd([[F(-1)]])  # negative pivot
+        assert not _exact_psd([[F(1), F(0)], [F(0), F(-1)]])
+        # zero pivot with a surviving entry: [[a, m], [m, 0]] has det −m²
+        assert not _exact_psd([[F(1), F(1)], [F(1), F(0)]])
+        # eigenvalues 3 and −1; only the pivot's diagonal update shows it
+        assert not _exact_psd([[F(1), F(2)], [F(2), F(1)]])
+        # eliminating the last row cancels the (1, 0) entry to zero and
+        # leaves a zero pivot with an empty row: PSD (rank 2)
+        assert _exact_psd([[F(2), F(1), F(1)], [F(1), F(1), F(1)], [F(1), F(1), F(1)]])
+        # the same with the (1, 0) entry not cancelled: [[1, −1], [−1, 0]]
+        # remains, indefinite
+        assert not _exact_psd([[F(2), F(0), F(1)], [F(0), F(1), F(1)], [F(1), F(1), F(1)]])
+        # the first row decides: eliminating it first would miss the update
+        # that the later rows make to it
+        assert not _exact_psd([[F(1), F(1), F(1)], [F(1), F(1), F(0)], [F(1), F(0), F(1)]])
+
+    @given(
+        st.one_of(
+            step_sets().flatmap(
+                lambda region: st.tuples(
+                    st.just(region),
+                    st.integers(1, 4).map(
+                        lambda depth: enumerate_family(depth, region, F(2, 3))
+                    ),
+                )
+            ),
+            # arbitrary order, repeats and non-admissible members
+            st.tuples(step_sets(), st.lists(dyadic_intervals(max_level=5), max_size=10)),
+        ),
+        st.sampled_from([F(0), F(1, 16), F(1, 4), F(1, 2), F(1)]),
+        st.data(),
+    )
     @settings(max_examples=60)
-    def test_elimination_order_is_perfect_on_nested_pattern(self, family):
-        # nested-or-disjoint intervals: the nesting pattern is chordal, and
-        # each vertex's neighbours later in the order must form a clique
-        n = len(family)
-        nested = [
-            {j: True for j in range(n) if j != i and (family[i].contains(family[j]) or family[j].contains(family[i]))}
+    def test_permutation_keeps_verdict_on_family_pencils(self, drawn, shift, data):
+        region, family = drawn
+        family = family[:14]
+        gram = build_gram(family, region)
+        n = gram.size
+        perm = data.draw(st.permutations(range(n)))
+        for rows in (riesz_rows(gram, shift), bessel_rows(gram, 1 + shift)):
+            permuted = [[rows[a][b] for b in perm] for a in perm]
+            verdict = dense_exact_psd(rows)
+            assert _exact_psd(rows) is verdict
+            assert _exact_psd(permuted) is verdict
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(
+                    st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                    min_size=1,
+                    max_size=n,
+                ),
+                st.sampled_from([F(0), F(1, 8), F(1, 2), F(-1, 8)]),
+                st.permutations(range(n)),
+            )
+        )
+    )
+    @settings(max_examples=150)
+    def test_permutation_keeps_verdict_on_small_matrices(self, drawn):
+        # BᵀB − s·I with B of k ≤ n rows: singular PSD (k < n, s = 0),
+        # positive definite and indefinite cases all occur
+        b, s, perm = drawn
+        n = len(perm)
+        rows = [
+            [F(sum(r[i] * r[j] for r in b)) - s * (i == j) for j in range(n)]
             for i in range(n)
         ]
-        order = _elimination_order(nested)
-        assert sorted(order) == list(range(n))
-        position = {v: k for k, v in enumerate(order)}
-        for v in order:
-            later = [u for u in nested[v] if position[u] > position[v]]
-            assert all(b in nested[a] for a in later for b in later if a != b)
+        permuted = [[rows[a][c] for c in perm] for a in perm]
+        verdict = dense_exact_psd(rows)
+        assert _exact_psd(rows) is verdict
+        assert _exact_psd(permuted) is verdict
 
     @given(
         step_sets(),

@@ -326,6 +326,43 @@ class TestWeightedNormAndTelescope:
         assert report.telescoping_exact
 
     @pytest.mark.parametrize("i", range(4))
+    def test_each_level_computed_once(self, i, monkeypatch):
+        # the report is the base, the one-step checks and the top norm, and
+        # each of the 6 level norms is computed once
+        region, p, coeffs = _random_instance(i)
+        cfg = WeightConfig(p)
+        expected_steps = tuple(
+            induction_step_check(region, coeffs.restrict(n + 1), n, cfg)
+            for n in range(5)
+        )
+        base, top = (weighted_norm_sq(region, coeffs, level, cfg) for level in (0, 5))
+        levels = []
+
+        def counted(region, coeffs, level, cfg):
+            levels.append(level)
+            return weighted_norm_sq(region, coeffs, level, cfg)
+
+        monkeypatch.setattr(weights, "weighted_norm_sq", counted)
+        report = telescope_check(region, coeffs, cfg, top_level=5)
+        assert levels == [0, 1, 2, 3, 4, 5]
+        assert report.steps == expected_steps
+        assert (report.base_lhs, report.weighted_total) == (base, top)
+
+    def test_inadmissible_level_rejected(self):
+        # the same error as the failing one-step check, raised by the step
+        # whose new level holds the inadmissible coefficient
+        bad = DyadicInterval(2, 2)  # density 2/3 < 3/4
+        coeffs = CoefficientMap({DyadicInterval(1, 0): F(1), bad: F(1)})
+        with pytest.raises(InputError) as err:
+            telescope_check(TWO_THIRDS, coeffs, CFG34)
+        with pytest.raises(InputError) as step_err:
+            induction_step_check(TWO_THIRDS, coeffs, 1, CFG34)
+        assert str(err.value) == str(step_err.value)
+        assert str(bad) in str(err.value)
+        with pytest.raises(InputError):
+            telescope_check(TWO_THIRDS, coeffs, CFG34, top_level=1)
+
+    @pytest.mark.parametrize("i", range(4))
     def test_final_unweighted_inequality(self, i):
         # dropping the weight costs at most the cap: ‖Σ‖² ≥ c(p)·Σ‖·‖²
         region, p, coeffs = _random_instance(i)
