@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -68,23 +69,33 @@ class GramMatrix:
     def diagonal(self) -> Tuple[Fraction, ...]:
         return tuple(self.entries[i][i] for i in range(self.size))
 
+    @cached_property
+    def lower(self) -> Tuple[Tuple[Tuple[int, Fraction], ...], ...]:
+        """Row i's nonzero entries left of the diagonal, as (j, G_ij) pairs.
+
+        Built once, on first use, and immutable: the exact routes copy it
+        into their own row store, in O(n + nonzeros) rather than O(n²).
+        """
+        return tuple(
+            tuple((j, x) for j, x in enumerate(row[:i]) if x)
+            for i, row in enumerate(self.entries)
+        )
+
     def as_float(self) -> np.ndarray:
-        """Float64 view; applies the 1/√(G_ii·G_jj) normalization if flagged."""
-        n = self.size
-        out = np.empty((n, n), dtype=np.float64)
-        if self.normalized:
-            scale = [float(d) ** -0.5 for d in self.diagonal]
-            for i in range(n):
-                out[i, i] = 1.0  # exactly 1 by definition; avoid √ round-trip
-                for j in range(i):
-                    value = float(self.entries[i][j]) * scale[i] * scale[j]
-                    out[i, j] = value
-                    out[j, i] = value
-        else:
-            for i in range(n):
-                for j in range(n):
-                    out[i, j] = float(self.entries[i][j])
-        return out
+        """Float64 view; applies the 1/√(G_ii·G_jj) normalization if flagged.
+
+        Only the nonzero entries are converted, and :func:`float_view` fills
+        the matrix: the float search scores, which build their pencils with
+        the same helper, are bit for bit the values of this view.
+        """
+        lower = self.lower
+        return float_view(
+            [float(d) for d in self.diagonal],
+            [i for i, row in enumerate(lower) for _ in row],
+            [j for row in lower for j, _ in row],
+            [float(x) for row in lower for _, x in row],
+            self.normalized,
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -102,6 +113,37 @@ class GramMatrix:
         return "\n".join(
             ",".join(render_float(x, precision) for x in row) for row in rows
         ) + ("\n" if self.size else "")
+
+
+def float_view(
+    diagonal: Sequence[float],
+    rows: Sequence[int],
+    cols: Sequence[int],
+    values: Sequence[float],
+    normalized: bool,
+) -> np.ndarray:
+    """Symmetric float64 matrix from its diagonal and the entries left of it.
+
+    Entry k sits at (rows[k], cols[k]) with rows[k] > cols[k], and at the
+    mirrored place; every other off-diagonal entry is 0.  When ``normalized``
+    is set, the diagonal is 1 and entry k becomes
+    (values[k]·s_rows[k])·s_cols[k] with s_i = diagonal[i]^(−1/2), multiplied
+    in that order, so every caller gets the same bits for the same entries.
+    """
+    n = len(diagonal)
+    rows = np.array(rows, dtype=np.intp)
+    cols = np.array(cols, dtype=np.intp)
+    values = np.array(values, dtype=np.float64)
+    out = np.zeros((n, n), dtype=np.float64)
+    if normalized:
+        scale = np.array([d ** -0.5 for d in diagonal], dtype=np.float64)
+        values = values * scale[rows] * scale[cols]
+        np.fill_diagonal(out, 1.0)  # exactly 1 by definition; avoid √ round-trip
+    else:
+        np.fill_diagonal(out, diagonal)
+    out[rows, cols] = values
+    out[cols, rows] = values
+    return out
 
 
 def build_gram(
@@ -168,14 +210,25 @@ def build_gram(
 def _exact_psd(rows) -> bool:
     """Decide positive semidefiniteness of a symmetric rational matrix, exactly.
 
-    LDLᵀ that eliminates k = n−1, …, 0, on a store of each row's nonzero
-    entries left of the diagonal: eliminating k updates only rows of lower
-    index, so the entries right of the diagonal are never needed.  A negative
-    pivot is a witness of indefiniteness.  A zero pivot whose row still holds
-    an entry m leaves a 2×2 principal minor [[a, m], [m, 0]] of determinant
-    −m² < 0, so the matrix is not PSD; a zero pivot with an empty row splits
-    off a zero row and is skipped.  Entries that cancel to zero are dropped,
-    so "empty" is exact.
+    Takes dense rows, keeps the diagonal and each row's nonzero entries left
+    of it, and runs :func:`_ldlt_psd` on them.
+    """
+    diag = [row[i] for i, row in enumerate(rows)]
+    lower = [{j: x for j, x in enumerate(row[:i]) if x} for i, row in enumerate(rows)]
+    return _ldlt_psd(diag, lower)
+
+
+def _ldlt_psd(diag: list, lower: list) -> bool:
+    """Exact PSD verdict from a diagonal and a store {j: entry} of each row's
+    nonzero entries left of the diagonal; both are consumed.
+
+    LDLᵀ that eliminates k = n−1, …, 0: eliminating k updates only rows of
+    lower index, so the entries right of the diagonal are never needed.  A
+    negative pivot is a witness of indefiniteness.  A zero pivot whose row
+    still holds an entry m leaves a 2×2 principal minor [[a, m], [m, 0]] of
+    determinant −m² < 0, so the matrix is not PSD; a zero pivot with an empty
+    row splits off a zero row and is skipped.  Entries that cancel to zero
+    are dropped, so "empty" is exact.
 
     Any order gives an exact verdict: a simultaneous row/column permutation
     does not change definiteness, and with a positive pivot the matrix is PSD
@@ -185,8 +238,6 @@ def _exact_psd(rows) -> bool:
     member's remaining neighbours are then ancestors of it, which are nested
     in one another, so fill-in stays on pairs that are nested already.
     """
-    diag = [row[i] for i, row in enumerate(rows)]
-    lower = [{j: x for j, x in enumerate(row[:i]) if x} for i, row in enumerate(rows)]
     while lower:
         d = diag.pop()
         if d < 0:
@@ -216,7 +267,8 @@ def psd_certificate(
 
     This is the pencil form of the lower Riesz inequality with constant
     ``shift`` when D carries the squared norms; the answer is exact, never
-    approximate.
+    approximate.  The off-diagonal entries are copied from the Gram matrix's
+    store of nonzero entries, so the cost of the copy is O(n + nonzeros).
     """
     shift = Fraction(shift)
     diag = [Fraction(d) for d in diag]
@@ -224,11 +276,8 @@ def psd_certificate(
         raise InputError(
             f"diagonal length {len(diag)} does not match matrix size {gram.size}"
         )
-    n = gram.size
-    rows = [list(gram.entries[i]) for i in range(n)]
-    for i in range(n):
-        rows[i][i] -= shift * diag[i]
-    return _exact_psd(rows)
+    pivots = [g - shift * d for g, d in zip(gram.diagonal, diag)]
+    return _ldlt_psd(pivots, [dict(row) for row in gram.lower])
 
 
 def verify_riesz(
@@ -248,11 +297,9 @@ def bessel_certificate(gram: GramMatrix, p: Fraction) -> bool:
     p = Fraction(p)
     if not 0 < p <= 1:
         raise InputError(f"threshold must satisfy 0 < p <= 1, got {p}")
-    n = gram.size
-    rows = [[-x if x else x for x in gram.entries[i]] for i in range(n)]
-    for i in range(n):
-        rows[i][i] += gram.entries[i][i] / p
-    return _exact_psd(rows)
+    pivots = [d / p - d for d in gram.diagonal]
+    lower = [{j: -x for j, x in row} for row in gram.lower]
+    return _ldlt_psd(pivots, lower)
 
 
 def verify_bessel(

@@ -311,10 +311,16 @@ def enumerate_family(depth: int, region: StepSet, p: Fraction) -> list[DyadicInt
     family = []
     for level in range(depth + 1):
         stride = 1 << (depth - level)
-        threshold = p / (1 << level)  # density ≥ p ⇔ |I ∩ E| ≥ p·|I|
-        family.extend(
-            DyadicInterval(level, index)
-            for index in range(1 << level)
-            if below[(index + 1) * stride] - below[index * stride] >= threshold
-        )
+        for index in range(1 << level):
+            mass = below[(index + 1) * stride] - below[index * stride]
+            if meets_density(mass.numerator, mass.denominator, level, p):
+                family.append(DyadicInterval(level, index))
     return family
+
+
+def meets_density(count: int, unit: int, level: int, p: Fraction) -> bool:
+    """Whether a level-`level` interval I with |I ∩ E| = count/unit has density ≥ p.
+
+    |I ∩ E| / 2^-level ≥ p  ⇔  count·p.den·2^level ≥ p.num·unit, in integers.
+    """
+    return (count * p.denominator << level) >= p.numerator * unit

@@ -19,6 +19,8 @@ RationalLike = Union[Fraction, int, str]
 
 
 def _as_fraction(value: RationalLike) -> Fraction:
+    if type(value) is Fraction:
+        return value
     if isinstance(value, str):
         return parse_rational(value)
     return Fraction(value)
@@ -95,6 +97,26 @@ class StepSet:
 
     def __post_init__(self):
         object.__setattr__(self, "intervals", _canonical_intervals(self.intervals))
+
+    @classmethod
+    def from_cells(cls, cells: Sequence[bool]) -> "StepSet":
+        """The union of the cells [k/m, (k+1)/m) whose flag is set, m = len(cells).
+
+        Maximal runs of set flags are found in integers, so only the run
+        endpoints become Fractions.
+        """
+        scale = len(cells)
+        runs = []
+        start = None
+        for k, present in enumerate(cells):
+            if present and start is None:
+                start = k
+            elif not present and start is not None:
+                runs.append((Fraction(start, scale), Fraction(k, scale)))
+                start = None
+        if start is not None:
+            runs.append((Fraction(start, scale), Fraction(1)))
+        return cls(tuple(runs))
 
     @property
     def measure(self) -> Fraction:

@@ -1,8 +1,15 @@
 """Seeded randomized and greedy search for step sets with a low Riesz ratio.
 
-The float eigensolver drives the hot loop; the exact PSD certificate is run
-once, on the winning set, to produce a rigorously certified lower bracket.
-All randomness flows through an explicit splitmix64 generator so results are
+Candidates are cell sets at ``cell_resolution``, and each is scored on an
+integer cell-count tree (:class:`_CountTree`): admissibility, masses and
+slopes are read off the counts of its dyadic nodes, a greedy flip updates
+one ancestor chain, and the float pencil is filled from those integers with
+the bits :meth:`GramMatrix.as_float` gives.  No candidate builds a Fraction
+Gram matrix; a StepSet is built only for a candidate that becomes or ties
+the best, or that fails a spectral check.  :func:`pencil_extremes` is the
+reference the tree scores equal.  The exact PSD certificate is run once, on
+the winning set, to produce a rigorously certified lower bracket.  All
+randomness flows through an explicit splitmix64 generator so results are
 reproducible bit for bit from the seed.
 """
 
@@ -12,10 +19,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .constants import riesz_constant
 from .errors import ConsistencyError, InputError
-from .gram import build_gram, eig_bounds, psd_certificate
-from .haar import MAX_DEPTH, enumerate_family
+from .gram import (
+    _extreme_eigenvalues,
+    build_gram,
+    eig_bounds,
+    float_view,
+    psd_certificate,
+)
+from .haar import MAX_DEPTH, enumerate_family, meets_density
 from .measure import StepSet
 
 _MASK64 = (1 << 64) - 1
@@ -85,12 +100,7 @@ def random_stepset(resolution: int, density_bias: float, seed: int) -> StepSet:
         raise InputError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution}")
     if not 0.0 < density_bias <= 1.0:
         raise InputError(f"density bias must lie in (0, 1], got {density_bias}")
-    rng = SplitMix64(seed)
-    scale = 1 << resolution
-    cells = [k for k in range(scale) if rng.next_unit() < density_bias]
-    return StepSet(
-        tuple((Fraction(k, scale), Fraction(k + 1, scale)) for k in cells)
-    )
+    return StepSet.from_cells(_draw_cells(resolution, density_bias, seed))
 
 
 @dataclass(frozen=True)
@@ -155,7 +165,13 @@ def pencil_extremes(
     region: StepSet, p: Fraction, depth: int
 ) -> Tuple[float, float, int]:
     """(λ_min, λ_max, family size) of the normalized pencil over the admissible
-    family of level ≤ depth; (1.0, 1.0, 0) for an empty family."""
+    family of level ≤ depth; (1.0, 1.0, 0) for an empty family.
+
+    This is the reference route, from any step set through
+    :func:`enumerate_family`, :func:`build_gram` and :func:`eig_bounds`; the
+    search scores its cell-set candidates on a count tree and gets these
+    values bit for bit.
+    """
     family = enumerate_family(depth, region, p)
     if not family:
         return 1.0, 1.0, 0
@@ -209,26 +225,153 @@ def _floor_for(p: Fraction) -> Optional[float]:
     return None
 
 
-def _check_floor(ratio: float, floor: Optional[float], region: StepSet):
-    if floor is not None and ratio < floor:
-        raise ConsistencyError(
-            f"computed ratio {ratio!r} undercuts the certified lower bound "
-            f"{floor!r} on {region}; this would contradict the lower-bound "
-            "theorem and indicates a bug"
+def _draw_cells(resolution: int, density_bias: float, seed: int) -> List[bool]:
+    """One inclusion flag per level-`resolution` cell, drawn in cell order."""
+    rng = SplitMix64(seed)
+    return [rng.next_unit() < density_bias for _ in range(1 << resolution)]
+
+
+class _CountTree:
+    """Covered-leaf counts of every dyadic node from level 0 to depth + 1.
+
+    A candidate's cells at ``resolution`` fill the tree; nodes are numbered
+    as in a heap (node (level, index) is 2^level + index, its halves are 2v
+    and 2v + 1, its parent v >> 1).  Counts are integers in units of
+    2^−unit, unit = max(resolution, depth + 1), so a member's mass is its
+    count and its slope |rh ∩ E| − |lh ∩ E| is the difference of its halves'
+    counts, both exact and free of Fractions.
+    """
+
+    __slots__ = ("cells", "resolution", "depth", "unit", "counts")
+
+    def __init__(self, cells: List[bool], depth: int):
+        self.cells = cells
+        self.resolution = resolution = len(cells).bit_length() - 1
+        self.depth = depth
+        top = depth + 1
+        self.unit = max(resolution, top)
+        base = 1 << top
+        counts = [0] * (2 * base)
+        if resolution >= top:  # each level-top node holds whole cells of count 1
+            for k, present in enumerate(cells):
+                counts[base + (k >> (resolution - top))] += present
+        else:  # each cell covers whole level-top nodes of count 1
+            span = 1 << (top - resolution)
+            for k, present in enumerate(cells):
+                if present:
+                    counts[base + k * span : base + (k + 1) * span] = [1] * span
+        for v in range(base - 1, 0, -1):
+            counts[v] = counts[2 * v] + counts[2 * v + 1]
+        self.counts = counts
+
+    def toggle(self, cell: int):
+        """Flip one cell.  Its ancestor chain changes by the cell's count; a
+        cell coarser than level depth + 1 also fills or empties every node of
+        its subtree down to that level."""
+        self.cells[cell] = present = not self.cells[cell]
+        delta = 1 if present else -1
+        counts, resolution, top = self.counts, self.resolution, self.depth + 1
+        if resolution >= top:
+            v = (1 << top) | (cell >> (resolution - top))
+            weight = delta
+        else:
+            v = (1 << resolution) | cell
+            weight = delta << (top - resolution)
+            first = v
+            for level in range(resolution + 1, top + 1):
+                first *= 2
+                share = delta << (top - level)
+                for u in range(first, first + (1 << (level - resolution))):
+                    counts[u] += share
+        while v:
+            counts[v] += weight
+            v >>= 1
+
+    def family(self, p: Fraction) -> List[int]:
+        """The admissible nodes of level ≤ depth, in (level, index) order."""
+        counts, unit = self.counts, 1 << self.unit
+        return [
+            v
+            for level in range(self.depth + 1)
+            for v in range(1 << level, 2 << level)
+            if meets_density(counts[v], unit, level, p)
+        ]
+
+    def pencil(self, p: Fraction) -> Tuple[List[int], np.ndarray]:
+        """The admissible family and the float view of its normalized Gram
+        matrix, entry for entry the bits of ``build_gram(..., True).as_float()``.
+
+        A member's only nonzero off-diagonal entries pair it with its family
+        ancestors: ±slope, + when it lies in the ancestor's right half.
+        """
+        counts = self.counts
+        family = self.family(p)
+        position = {v: k for k, v in enumerate(family)}
+        rows, cols, values = [], [], []
+        for k, v in enumerate(family):
+            slope = counts[2 * v + 1] - counts[2 * v]
+            if not slope:
+                continue
+            child = v
+            while child > 1:
+                j = position.get(child >> 1)
+                if j is not None:
+                    rows.append(k)
+                    cols.append(j)
+                    values.append(slope if child & 1 else -slope)
+                child >>= 1
+        step = 2.0 ** -self.unit  # counts and slopes are exact in float64
+        matrix = float_view(
+            [counts[v] * step for v in family],
+            rows,
+            cols,
+            [x * step for x in values],
+            normalized=True,
         )
+        return family, matrix
+
+    def extremes(self, p: Fraction) -> Tuple[float, float, int]:
+        """:func:`pencil_extremes` of the candidate, bit for bit."""
+        family, matrix = self.pencil(p)
+        if not family:
+            return 1.0, 1.0, 0
+        low, high = _extreme_eigenvalues(matrix)
+        return low, high, len(family)
 
 
-def _evaluate(region: StepSet, cfg: SearchConfig, floor: Optional[float]):
-    """Score one candidate set, enforcing both spectral invariants."""
-    low, high, size = pencil_extremes(region, cfg.p, cfg.depth)
-    _check_floor(low, floor, region)
-    ceiling = float(Fraction(1) / cfg.p) + _FLOAT_TOL
+def _score(
+    tree: _CountTree, cfg: SearchConfig, floor: Optional[float], ceiling: float
+) -> Tuple[float, int]:
+    """Score one candidate, enforcing both spectral invariants."""
+    low, high, size = tree.extremes(cfg.p)
+    if floor is not None and low < floor:
+        raise ConsistencyError(
+            f"computed ratio {low!r} undercuts the certified lower bound "
+            f"{floor!r} on {StepSet.from_cells(tree.cells)}; this would "
+            "contradict the lower-bound theorem and indicates a bug"
+        )
     if high > ceiling:
         raise ConsistencyError(
-            f"pencil λ_max {high!r} exceeds the upper bound 1/p on {region}; "
-            "this would contradict the upper-bound inequality and indicates a bug"
+            f"pencil λ_max {high!r} exceeds the upper bound 1/p on "
+            f"{StepSet.from_cells(tree.cells)}; this would contradict the "
+            "upper-bound inequality and indicates a bug"
         )
     return low, size
+
+
+def _offer(best, ratio: float, size: int, cells: List[bool]):
+    """The lower of best and the candidate by (ratio, intervals).
+
+    best is (ratio, StepSet, family size) or None.  The candidate's StepSet
+    is built only when it wins or ties the best ratio.
+    """
+    if best is None or ratio < best[0]:
+        return ratio, StepSet.from_cells(cells), size
+    if ratio == best[0]:
+        region = StepSet.from_cells(cells)
+        if region.intervals < best[1].intervals:
+            return ratio, region, size
+    return best
 
 
 def _bias_for(cfg: SearchConfig, iteration: int) -> float:
@@ -237,75 +380,56 @@ def _bias_for(cfg: SearchConfig, iteration: int) -> float:
     return _BIAS_CYCLE[iteration % len(_BIAS_CYCLE)]
 
 
-def _search_random(cfg: SearchConfig, floor: Optional[float]):
+def _search_random(cfg: SearchConfig, floor: Optional[float], ceiling: float):
     history: List[Tuple[int, float]] = []
     best = None
     for iteration in range(cfg.iterations):
-        region = random_stepset(
-            cfg.cell_resolution, _bias_for(cfg, iteration), derive_seed(cfg.seed, iteration)
+        cells = _draw_cells(
+            cfg.cell_resolution,
+            _bias_for(cfg, iteration),
+            derive_seed(cfg.seed, iteration),
         )
-        ratio, size = _evaluate(region, cfg, floor)
+        ratio, size = _score(_CountTree(cells, cfg.depth), cfg, floor, ceiling)
         history.append((iteration, ratio))
-        key = (ratio, region.intervals)
-        if best is None or key < best[0]:
-            best = (key, region, ratio, size)
-    _, region, ratio, size = best
-    return region, ratio, size, history
+        best = _offer(best, ratio, size, cells)
+    return best, history
 
 
-def _search_greedy(cfg: SearchConfig, floor: Optional[float]):
+def _search_greedy(cfg: SearchConfig, floor: Optional[float], ceiling: float):
     n_cells = 1 << cfg.cell_resolution
-    scale = n_cells
     flip_rng = SplitMix64(derive_seed(cfg.seed, _GREEDY_FLIP_STREAM))
 
-    def fresh_cells(restart: int) -> List[bool]:
-        bias = _bias_for(cfg, restart)
-        rng = SplitMix64(derive_seed(cfg.seed, _GREEDY_RESTART_STREAM + restart))
-        return [rng.next_unit() < bias for _ in range(n_cells)]
-
-    def to_set(cells: List[bool]) -> StepSet:
-        return StepSet(
-            tuple(
-                (Fraction(k, scale), Fraction(k + 1, scale))
-                for k, present in enumerate(cells)
-                if present
-            )
-        )
+    def fresh_tree(restart: int) -> _CountTree:
+        seed = derive_seed(cfg.seed, _GREEDY_RESTART_STREAM + restart)
+        cells = _draw_cells(cfg.cell_resolution, _bias_for(cfg, restart), seed)
+        return _CountTree(cells, cfg.depth)
 
     restarts = 0
-    cells = fresh_cells(restarts)
-    region = to_set(cells)
-    current_ratio, current_size = _evaluate(region, cfg, floor)
+    tree = fresh_tree(restarts)
+    current_ratio, size = _score(tree, cfg, floor, ceiling)
+    best = _offer(None, current_ratio, size, tree.cells)
 
     history: List[Tuple[int, float]] = []
-    best = ((current_ratio, region.intervals), region, current_ratio, current_size)
     stagnation = 0
     for iteration in range(cfg.iterations):
         flip = flip_rng.next_u64() % n_cells
-        cells[flip] = not cells[flip]
-        candidate = to_set(cells)
-        ratio, size = _evaluate(candidate, cfg, floor)
+        tree.toggle(flip)
+        ratio, size = _score(tree, cfg, floor, ceiling)
         history.append((iteration, ratio))
-        key = (ratio, candidate.intervals)
-        if key < best[0]:
-            best = (key, candidate, ratio, size)
+        best = _offer(best, ratio, size, tree.cells)
         if ratio < current_ratio:
             current_ratio = ratio
             stagnation = 0
         else:
-            cells[flip] = not cells[flip]  # revert
+            tree.toggle(flip)  # revert
             stagnation += 1
         if stagnation >= _GREEDY_STAGNATION_LIMIT:
             restarts += 1
-            cells = fresh_cells(restarts)
-            fresh = to_set(cells)
-            current_ratio, size = _evaluate(fresh, cfg, floor)
-            key = (current_ratio, fresh.intervals)
-            if key < best[0]:
-                best = (key, fresh, current_ratio, size)
+            tree = fresh_tree(restarts)
+            current_ratio, size = _score(tree, cfg, floor, ceiling)
+            best = _offer(best, current_ratio, size, tree.cells)
             stagnation = 0
-    _, region, ratio, size = best
-    return region, ratio, size, history
+    return best, history
 
 
 def search_extremal(cfg: SearchConfig) -> SearchResult:
@@ -320,10 +444,9 @@ def search_extremal(cfg: SearchConfig) -> SearchResult:
     carries an exact certified bracket for the winning set.
     """
     floor = _floor_for(cfg.p)
-    if cfg.mode == "random":
-        region, ratio, size, history = _search_random(cfg, floor)
-    else:
-        region, ratio, size, history = _search_greedy(cfg, floor)
+    ceiling = float(Fraction(1) / cfg.p) + _FLOAT_TOL
+    run = _search_random if cfg.mode == "random" else _search_greedy
+    (ratio, region, size), history = run(cfg, floor, ceiling)
     certificate = certified_lower_bound(region, cfg.p, cfg.depth)
     return SearchResult(
         best_set=region,

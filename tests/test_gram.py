@@ -157,6 +157,80 @@ class TestBuildGram:
         )
 
 
+def dense_float_view(gram):
+    """The float view as n² float(Fraction) conversions (test-side reference)."""
+    n = gram.size
+    out = np.empty((n, n))
+    scale = [float(d) ** -0.5 for d in gram.diagonal]
+    for i in range(n):
+        for j in range(n):
+            value = float(gram.entries[i][j])
+            if gram.normalized:
+                if i == j:
+                    value = 1.0
+                else:
+                    k, m = max(i, j), min(i, j)  # the row of the deeper index first
+                    value = value * scale[k] * scale[m]
+            out[i, j] = value
+    return out
+
+
+class TestGramStore:
+    @given(
+        step_sets(denominators=(3, 8, 12, 64)),
+        st.integers(0, 5),
+        st.sampled_from([F(1, 2), F(2, 3), F(3, 4)]),
+    )
+    @settings(max_examples=50)
+    def test_float_view_matches_dense_conversion(self, region, depth, p):
+        family = enumerate_family(depth, region, p)
+        for normalized in (False, True):
+            gram = build_gram(family, region, normalized=normalized)
+            assert gram.as_float().tobytes() == dense_float_view(gram).tobytes()
+
+    def test_float_view_of_dense_and_repeated_members(self):
+        demo = perturbation_demo(6).gram
+        assert demo.as_float().tobytes() == dense_float_view(demo).tobytes()
+        family = [DyadicInterval(1, 0), DyadicInterval(0, 0), DyadicInterval(1, 0)]
+        for normalized in (False, True):
+            gram = build_gram(family, TWO_THIRDS_SET, normalized=normalized)
+            assert gram.as_float().tobytes() == dense_float_view(gram).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_float_view_of_deep_families(self, seed):
+        region = random_stepset(8, 0.6, derive_seed(0xF10A7, seed))
+        gram = build_gram(enumerate_family(6, region, F(1, 2)), region, normalized=True)
+        assert gram.as_float().tobytes() == dense_float_view(gram).tobytes()
+
+    @given(
+        step_sets(denominators=(3, 8, 12, 64)),
+        st.integers(0, 4),
+        st.sampled_from([F(1, 2), F(43, 64), F(3, 4), F(1)]),
+        st.fractions(min_value=0, max_value=2, max_denominator=16),
+    )
+    @settings(max_examples=60)
+    def test_store_is_built_once(self, region, depth, p, shift):
+        gram = build_gram(enumerate_family(depth, region, p), region)
+        store = gram.lower
+        assert gram.lower is store
+        assert store == tuple(
+            tuple((j, x) for j, x in enumerate(row[:i]) if x)
+            for i, row in enumerate(gram.entries)
+        )
+        riesz = psd_certificate(gram, shift, gram.diagonal)
+        bessel = bessel_certificate(gram, p)
+        assert gram.lower is store
+        # the verdicts equal the dense-row route
+        assert riesz is _exact_psd(riesz_rows(gram, shift))
+        dense_bessel = [[-x for x in row] for row in gram.entries]
+        for i in range(gram.size):
+            dense_bessel[i][i] += gram.entries[i][i] / p
+        assert bessel is _exact_psd(dense_bessel)
+        # and a second run on the same store gives the same answers
+        assert psd_certificate(gram, shift, gram.diagonal) is riesz
+        assert bessel_certificate(gram, p) is bessel
+
+
 class TestEigBounds:
     def test_identity(self):
         assert eig_bounds(identity_gram(5)) == (1.0, 1.0)

@@ -30,7 +30,7 @@ from conftest import (
 )
 from haar_riesz import haar
 from haar_riesz.counterexample import zigzag_coefficients
-from haar_riesz.haar import MAX_DEPTH
+from haar_riesz.haar import MAX_DEPTH, meets_density
 
 TWO_THIRDS = StepSet(((0, F(2, 3)),))
 FULL = StepSet(((0, 1),))
@@ -247,6 +247,14 @@ class TestEnumerateFamily:
 
     def test_threshold_boundary(self):
         assert enumerate_family(0, TWO_THIRDS, F(2, 3)) == [DyadicInterval(0, 0)]
+
+    def test_density_rule_in_integers(self):
+        # a level-2 interval (measure 1/4) meeting E in 3/16: density 3/4
+        assert meets_density(3, 16, 2, F(3, 4))
+        assert not meets_density(2, 16, 2, F(3, 4))
+        assert not meets_density(3, 16, 2, F(3, 4) + F(1, 10**9))
+        assert meets_density(0, 1, 5, F(1, 10**9)) is False
+        assert meets_density(1, 1, 0, F(1))
 
     def test_strict_shortfall_excluded(self):
         # densities at depth 1: q([0,1)) = 2/3, q([0,1/2)) = 1, q([1/2,1)) = 1/3

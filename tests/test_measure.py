@@ -68,6 +68,32 @@ class TestNormalize:
         assert 0 <= region.measure <= 1
 
 
+class TestFromCells:
+    @given(st.lists(st.booleans(), min_size=1, max_size=40))
+    def test_matches_union_of_cells(self, cells):
+        m = len(cells)
+        expected = StepSet(
+            tuple((F(k, m), F(k + 1, m)) for k, present in enumerate(cells) if present)
+        )
+        assert StepSet.from_cells(cells) == expected
+
+    def test_runs(self):
+        assert StepSet.from_cells([False] * 4) == StepSet(())
+        assert StepSet.from_cells([True] * 4) == StepSet(((0, 1),))
+        assert StepSet.from_cells([True, True, False, True]).intervals == (
+            (F(0), F(1, 2)),
+            (F(3, 4), F(1)),
+        )
+
+    def test_fractions_are_not_rewrapped(self):
+        left, right = F(1, 3), F(2, 3)
+        ((a, b),) = StepSet(((left, right),)).intervals
+        assert a is left and b is right
+        # other rationals are still converted
+        ((a, b),) = StepSet((("1/3", 1),)).intervals
+        assert (type(a), type(b)) == (F, F) and (a, b) == (F(1, 3), F(1))
+
+
 class TestIntersectMeasure:
     def test_two_thirds_right_half(self):
         region = StepSet(((0, F(2, 3)),))

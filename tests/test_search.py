@@ -1,17 +1,27 @@
+import hashlib
+import json
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from haar_riesz import (
     ConsistencyError,
+    DyadicInterval,
+    GramMatrix,
     InputError,
     SearchConfig,
     StepSet,
+    bessel_certificate,
     build_gram,
     certified_lower_bound,
+    density,
     derive_seed,
     enumerate_family,
     min_ratio,
+    pencil_extremes,
     psd_certificate,
     random_stepset,
     riesz_constant,
@@ -20,8 +30,8 @@ from haar_riesz import (
 )
 from haar_riesz import search
 from haar_riesz.counterexample import TWO_THIRDS_SET
-from haar_riesz.haar import MAX_DEPTH
-from haar_riesz.search import MAX_RESOLUTION
+from haar_riesz.haar import MAX_DEPTH, halves
+from haar_riesz.search import MAX_RESOLUTION, _CountTree, _draw_cells
 
 FULL = StepSet(((0, 1),))
 
@@ -238,3 +248,281 @@ class TestSearchExtremal:
         payload = result.to_json_dict()
         assert StepSet.from_json_dict(payload["best_set"]) == result.best_set
         assert float(payload["best_ratio"]) == result.best_ratio
+
+
+# ---------------------------------------------------------------------------
+# the cell-count tree that scores search candidates
+
+
+def node_interval(v):
+    """The dyadic interval of heap number v = 2^level + index."""
+    level = v.bit_length() - 1
+    return DyadicInterval(level, v - (1 << level))
+
+
+def tree_gram(tree, p):
+    """Exact Gram matrix read off the tree's counts (test-side).
+
+    Masses and slopes are the tree's integers times 2^-unit; the sign of a
+    nested entry comes from ``halves``, not from the bits of a heap number.
+    """
+    unit = F(1, 1 << tree.unit)
+    counts = tree.counts
+    family = tree.family(p)
+    members = [node_interval(v) for v in family]
+    slopes = [(counts[2 * v + 1] - counts[2 * v]) * unit for v in family]
+    rows = []
+    for i, (inner, v) in enumerate(zip(members, family)):
+        row = []
+        for j, outer in enumerate(members):
+            if i == j:
+                row.append(counts[v] * unit)
+            elif outer.contains(inner):
+                row.append(slopes[i] if halves(outer)[1].contains(inner) else -slopes[i])
+            elif inner.contains(outer):
+                row.append(slopes[j] if halves(inner)[1].contains(outer) else -slopes[j])
+            else:
+                row.append(F(0))
+        rows.append(tuple(row))
+    return GramMatrix(tuple(rows), tuple(members))
+
+
+def assert_tree_matches_reference(tree, p):
+    """Family, masses, slopes, float pencil and extremes of one candidate equal
+    the StepSet route's (``enumerate_family``, ``build_gram``,
+    ``pencil_extremes``), bit for bit."""
+    region = StepSet.from_cells(tree.cells)
+    depth = tree.depth
+    family = enumerate_family(depth, region, p)
+    members = [node_interval(v) for v in tree.family(p)]
+    assert members == family
+    # the density rule, decided apart from meets_density
+    assert family == [
+        DyadicInterval(level, index)
+        for level in range(depth + 1)
+        for index in range(1 << level)
+        if density(region, DyadicInterval(level, index)) >= p
+    ]
+    assert tree_gram(tree, p).entries == build_gram(family, region).entries
+    _, matrix = tree.pencil(p)
+    if family:
+        reference = build_gram(family, region, normalized=True).as_float()
+        assert matrix.tobytes() == reference.tobytes()
+    low, high, size = tree.extremes(p)
+    ref_low, ref_high, ref_size = pencil_extremes(region, p, depth)
+    assert (low.hex(), high.hex(), size) == (ref_low.hex(), ref_high.hex(), ref_size)
+
+
+def flip_sequence(resolution, count):
+    """A fixed sequence of cell indices drawn from splitmix64."""
+    rng = search.SplitMix64(0xF11F)
+    return [rng.next_u64() % (1 << resolution) for _ in range(count)]
+
+
+# (depth, resolution): cells finer than level depth + 1, as fine, and coarser
+TREE_REGIMES = ((3, 6), (4, 5), (4, 3), (5, 2))
+
+
+class TestCountTree:
+    @pytest.mark.parametrize("mode", ["random", "greedy-flip"])
+    @pytest.mark.parametrize("depth,resolution", TREE_REGIMES)
+    @pytest.mark.parametrize("p", [F(1, 2), F(43, 64), F(3, 4)])
+    def test_every_candidate_matches_the_stepset_route(
+        self, monkeypatch, mode, depth, resolution, p
+    ):
+        scored = []
+        original = search._score
+
+        def checked(tree, cfg, floor, ceiling):
+            assert_tree_matches_reference(tree, cfg.p)
+            scored.append(tree.extremes(cfg.p))
+            return original(tree, cfg, floor, ceiling)
+
+        monkeypatch.setattr(search, "_score", checked)
+        iterations = 45 if mode == "greedy-flip" else 12
+        cfg = SearchConfig(
+            p=p,
+            depth=depth,
+            cell_resolution=resolution,
+            iterations=iterations,
+            seed=derive_seed(0x7EE, depth * 17 + resolution),
+            mode=mode,
+        )
+        result = search_extremal(cfg)
+        # greedy mode also scores its starting set and every restart's
+        assert len(scored) >= iterations
+        if mode == "random":
+            assert [r for _, r in result.history] == [low for low, _, _ in scored]
+
+    @pytest.mark.parametrize("depth,resolution", TREE_REGIMES)
+    def test_flip_and_revert_equal_a_fresh_build(self, depth, resolution):
+        cells = _draw_cells(resolution, 0.6, derive_seed(5, resolution))
+        tree = _CountTree(list(cells), depth)
+        flips = flip_sequence(resolution, 40)
+        for cell in flips:
+            tree.toggle(cell)
+            assert tree.counts == _CountTree(list(tree.cells), depth).counts
+        for cell in reversed(flips):
+            tree.toggle(cell)
+        assert tree.cells == cells
+        assert tree.counts == _CountTree(list(cells), depth).counts
+
+    def test_root_dense_and_empty_families(self):
+        full = _CountTree([True] * 8, 4)
+        assert full.extremes(F(1)) == (1.0, 1.0, 31)
+        empty = _CountTree([False] * 8, 4)
+        assert empty.extremes(F(1, 2)) == (1.0, 1.0, 0)
+        assert_tree_matches_reference(full, F(1))
+        assert_tree_matches_reference(empty, F(1, 2))
+
+    def test_exact_density_threshold_admits(self):
+        # [0, 3/4) at resolution 2: the root has density exactly 3/4
+        tree = _CountTree([True, True, True, False], 3)
+        assert 1 in tree.family(F(3, 4))
+        assert 1 not in tree.family(F(3, 4) + F(1, 1000))
+        assert_tree_matches_reference(tree, F(3, 4))
+
+
+class TestFinerResolution:
+    """Writing the cells of a set at a finer resolution changes nothing."""
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda r: st.lists(st.booleans(), min_size=1 << r, max_size=1 << r)
+        ),
+        st.integers(1, 3),
+        st.integers(0, 5),
+        st.sampled_from([F(1, 2), F(2, 3), F(43, 64), F(3, 4), F(1)]),
+    )
+    @settings(max_examples=60)
+    def test_split_cells(self, cells, k, depth, p):
+        finer = [present for present in cells for _ in range(1 << k)]
+        coarse_tree = _CountTree(list(cells), depth)
+        fine_tree = _CountTree(finer, depth)
+        region = StepSet.from_cells(cells)
+        assert StepSet.from_cells(finer) == region
+        # the same set given as 2^k pieces per interval canonicalizes back
+        pieces = [
+            (left + (right - left) * F(i, 1 << k), left + (right - left) * F(i + 1, 1 << k))
+            for left, right in region.intervals
+            for i in range(1 << k)
+        ]
+        assert StepSet(tuple(pieces)) == region
+
+        assert coarse_tree.family(p) == fine_tree.family(p)
+        coarse_gram, fine_gram = tree_gram(coarse_tree, p), tree_gram(fine_tree, p)
+        assert coarse_gram == fine_gram
+        family = enumerate_family(depth, region, p)
+        assert fine_gram.entries == build_gram(family, region).entries
+        c = riesz_constant(p) if p > F(2, 3) else F(1, 2)
+        for gram in (coarse_gram, fine_gram):
+            assert psd_certificate(gram, c, gram.diagonal) is psd_certificate(
+                coarse_gram, c, coarse_gram.diagonal
+            )
+            assert bessel_certificate(gram, p) is bessel_certificate(coarse_gram, p)
+        _, coarse_matrix = coarse_tree.pencil(p)
+        _, fine_matrix = fine_tree.pencil(p)
+        assert coarse_matrix.tobytes() == fine_matrix.tobytes()
+        scores = [tree.extremes(p) for tree in (coarse_tree, fine_tree)]
+        reference = pencil_extremes(region, p, depth)
+        for low, high, size in scores:
+            assert (low.hex(), high.hex(), size) == (
+                reference[0].hex(),
+                reference[1].hex(),
+                reference[2],
+            )
+
+
+class TestCandidateWork:
+    @pytest.mark.parametrize("mode", ["random", "greedy-flip"])
+    def test_only_winning_or_tied_candidates_build_a_stepset(self, monkeypatch, mode):
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("random_stepset", "enumerate_family", "build_gram", "eig_bounds"):
+            monkeypatch.setattr(search, name, counted(name, getattr(search, name)))
+        from_cells = StepSet.from_cells.__func__
+        monkeypatch.setattr(
+            StepSet, "from_cells", classmethod(counted("from_cells", from_cells))
+        )
+        ratios = []
+        score = search._score
+
+        def recorded(*args):
+            ratio, size = score(*args)
+            ratios.append(ratio)
+            return ratio, size
+
+        monkeypatch.setattr(search, "_score", recorded)
+        cfg = SearchConfig(
+            p=F(43, 64),
+            depth=6,
+            cell_resolution=8,
+            iterations=12,
+            seed=0x5EED,
+            mode=mode,
+            density_bias=0.55,
+        )
+        search_extremal(cfg)
+        contenders = sum(
+            1 for k, r in enumerate(ratios) if k == 0 or r <= min(ratios[:k])
+        )
+        assert contenders < len(ratios)  # some candidates neither win nor tie
+        assert calls["from_cells"] == contenders
+        # the final bracket on the winning set is the only Fraction route
+        assert calls["enumerate_family"] == 1
+        assert calls["build_gram"] == 1
+        assert calls["random_stepset"] == 0
+        assert calls["eig_bounds"] == 0
+
+
+# Digests of seeded results, taken before candidates were scored on the count
+# tree: best_ratio and history as float.hex, family size, certified lower
+# bound and the best set.  Both modes, cells finer and coarser than level
+# depth + 1.
+RESULT_DIGESTS = [
+    (("random", F(43, 64), 4, 6, None, 30, 99),
+     "bd31ebda3406fc15da22d32a150a6cb28c3baf51d2394e6b4c6d7c2eabef386d"),
+    (("random", F(3, 4), 5, 4, 0.7, 25, 2024),
+     "7edc2b16b2b705142dfa479d6a9bf8021c04062629c7a97dbc9b2792c7eee2b3"),
+    (("random", F(1, 2), 3, 3, None, 20, 7),
+     "adf95d70e5c868abf7ef354eb906e132e6791805b0858229a6d67d3ef5179e6f"),
+    (("greedy-flip", F(43, 64), 4, 7, 0.55, 60, 11),
+     "065b042fdbde77bf6e5a5a7e2ce870063354c4a729b94d290f61b28f16f67c1c"),
+    (("greedy-flip", F(3, 4), 5, 3, None, 80, 26),
+     "15b10701b08081cb2158c6cfc7c6d2e3fdb889ea2de364d269caf9b54c9d7c63"),
+    (("greedy-flip", F(2, 3), 3, 5, None, 50, 5),
+     "d8130fa692179fd642d7185e3185bea0d617e102f347305fa8c02bfd06afd333"),
+]
+
+
+@pytest.mark.parametrize("case,digest", RESULT_DIGESTS)
+def test_seeded_results_unchanged(case, digest):
+    mode, p, depth, resolution, bias, iterations, seed = case
+    result = search_extremal(
+        SearchConfig(
+            p=p,
+            depth=depth,
+            cell_resolution=resolution,
+            iterations=iterations,
+            seed=seed,
+            mode=mode,
+            density_bias=bias,
+        )
+    )
+    payload = json.dumps(
+        [
+            result.best_ratio.hex(),
+            [[i, r.hex()] for i, r in result.history],
+            result.family_size,
+            str(result.certificate_lower),
+            result.best_set.to_json_dict(),
+        ]
+    )
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
