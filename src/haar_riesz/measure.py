@@ -84,6 +84,29 @@ def _canonical_intervals(
     return tuple((left, right) for left, right in merged)
 
 
+def cell_runs(cells: Sequence[bool]) -> list[Tuple[int, int]]:
+    """Maximal runs of set flags as integer pairs (first, one past the last).
+
+    At one scale, the list orders as the intervals of the set the cells make.
+    """
+    runs = []
+    start = None
+    for k, present in enumerate(cells):
+        if present and start is None:
+            start = k
+        elif not present and start is not None:
+            runs.append((start, k))
+            start = None
+    if start is not None:
+        runs.append((start, len(cells)))
+    return runs
+
+
+# k/scale for each scale a step set was built at, filled as endpoints are
+# first needed: at most scale + 1 entries per scale
+_ENDPOINTS: dict[int, dict[int, Fraction]] = {}
+
+
 @dataclass(frozen=True)
 class StepSet:
     """Canonical finite union of half-open rational intervals inside [0,1).
@@ -100,23 +123,24 @@ class StepSet:
 
     @classmethod
     def from_cells(cls, cells: Sequence[bool]) -> "StepSet":
-        """The union of the cells [k/m, (k+1)/m) whose flag is set, m = len(cells).
+        """The union of the cells [k/m, (k+1)/m) whose flag is set, m = len(cells)."""
+        return cls.from_runs(cell_runs(cells), len(cells))
 
-        Maximal runs of set flags are found in integers, so only the run
-        endpoints become Fractions.
+    @classmethod
+    def from_runs(cls, runs: Sequence[Tuple[int, int]], scale: int) -> "StepSet":
+        """The union of [a/scale, b/scale) over the integer pairs (a, b).
+
+        The endpoints come from a table shared by every set of this scale,
+        so a set keeps one tuple per interval and no Fractions of its own.
         """
-        scale = len(cells)
-        runs = []
-        start = None
-        for k, present in enumerate(cells):
-            if present and start is None:
-                start = k
-            elif not present and start is not None:
-                runs.append((Fraction(start, scale), Fraction(k, scale)))
-                start = None
-        if start is not None:
-            runs.append((Fraction(start, scale), Fraction(1)))
-        return cls(tuple(runs))
+        table = _ENDPOINTS.setdefault(scale, {})
+        for run in runs:
+            for k in run:
+                if k not in table:
+                    if not 0 <= k <= scale:
+                        raise InputError(f"endpoint {k}/{scale} lies outside [0, 1]")
+                    table[k] = Fraction(k, scale)
+        return cls(tuple((table[a], table[b]) for a, b in runs))
 
     @property
     def measure(self) -> Fraction:

@@ -4,13 +4,18 @@ Candidates are cell sets at ``cell_resolution``, and each is scored on an
 integer cell-count tree (:class:`_CountTree`): admissibility, masses and
 slopes are read off the counts of its dyadic nodes, a greedy flip updates
 one ancestor chain, and the float pencil is filled from those integers with
-the bits :meth:`GramMatrix.as_float` gives.  No candidate builds a Fraction
-Gram matrix; a StepSet is built only for a candidate that becomes or ties
-the best, or that fails a spectral check.  :func:`pencil_extremes` is the
-reference the tree scores equal.  The exact PSD certificate is run once, on
-the winning set, to produce a rigorously certified lower bracket.  All
-randomness flows through an explicit splitmix64 generator so results are
-reproducible bit for bit from the seed.
+the bits :meth:`GramMatrix.as_float` gives.  The pencil splits into
+independent blocks under non-member ancestors, and its extremes are solved
+block by block; a memo that lives for one search keeps each solved block's
+extremes, so a flip re-solves only the blocks it changed (one, unless a
+member that leaves splits a block).  No candidate builds a Fraction Gram
+matrix; ties on the ratio are broken on the integer runs of the cells, and a
+StepSet is built only for the final winner or for a candidate that fails a
+spectral check.  :func:`pencil_extremes` is the reference the tree scores
+equal.  The exact PSD certificate is run once, on the winning set, to
+produce a rigorously certified lower bracket.  All randomness flows through
+an explicit splitmix64 generator so results are reproducible bit for bit
+from the seed.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .gram import (
     psd_certificate,
 )
 from .haar import MAX_DEPTH, enumerate_family, meets_density
-from .measure import StepSet
+from .measure import StepSet, cell_runs
 
 _MASK64 = (1 << 64) - 1
 _FLOAT_TOL = 1e-8  # slack granted to the float eigensolver against exact bounds
@@ -242,10 +247,11 @@ class _CountTree:
     counts, both exact and free of Fractions.
     """
 
-    __slots__ = ("cells", "resolution", "depth", "unit", "counts")
+    __slots__ = ("cells", "resolution", "depth", "unit", "counts", "memo")
 
-    def __init__(self, cells: List[bool], depth: int):
+    def __init__(self, cells: List[bool], depth: int, memo: Optional[dict] = None):
         self.cells = cells
+        self.memo = memo
         self.resolution = resolution = len(cells).bit_length() - 1
         self.depth = depth
         top = depth + 1
@@ -331,11 +337,16 @@ class _CountTree:
         return family, matrix
 
     def extremes(self, p: Fraction) -> Tuple[float, float, int]:
-        """:func:`pencil_extremes` of the candidate, bit for bit."""
+        """:func:`pencil_extremes` of the candidate, bit for bit.
+
+        The pencil is solved block by block; with a ``memo`` (one per search),
+        a block a flip left unchanged is read from it, not solved again.  A
+        block's value depends only on its bytes, so the memo moves no bit.
+        """
         family, matrix = self.pencil(p)
         if not family:
             return 1.0, 1.0, 0
-        low, high = _extreme_eigenvalues(matrix)
+        low, high = _extreme_eigenvalues(matrix, self.memo)
         return low, high, len(family)
 
 
@@ -362,15 +373,16 @@ def _score(
 def _offer(best, ratio: float, size: int, cells: List[bool]):
     """The lower of best and the candidate by (ratio, intervals).
 
-    best is (ratio, StepSet, family size) or None.  The candidate's StepSet
-    is built only when it wins or ties the best ratio.
+    best is (ratio, runs, family size) or None, runs the maximal runs of the
+    cells as integer pairs: at one resolution they order as the intervals
+    of the sets do, so a tie is broken without building a StepSet.
     """
     if best is None or ratio < best[0]:
-        return ratio, StepSet.from_cells(cells), size
+        return ratio, cell_runs(cells), size
     if ratio == best[0]:
-        region = StepSet.from_cells(cells)
-        if region.intervals < best[1].intervals:
-            return ratio, region, size
+        runs = cell_runs(cells)
+        if runs < best[1]:
+            return ratio, runs, size
     return best
 
 
@@ -380,7 +392,9 @@ def _bias_for(cfg: SearchConfig, iteration: int) -> float:
     return _BIAS_CYCLE[iteration % len(_BIAS_CYCLE)]
 
 
-def _search_random(cfg: SearchConfig, floor: Optional[float], ceiling: float):
+def _search_random(
+    cfg: SearchConfig, floor: Optional[float], ceiling: float, memo: dict
+):
     history: List[Tuple[int, float]] = []
     best = None
     for iteration in range(cfg.iterations):
@@ -389,20 +403,22 @@ def _search_random(cfg: SearchConfig, floor: Optional[float], ceiling: float):
             _bias_for(cfg, iteration),
             derive_seed(cfg.seed, iteration),
         )
-        ratio, size = _score(_CountTree(cells, cfg.depth), cfg, floor, ceiling)
+        ratio, size = _score(_CountTree(cells, cfg.depth, memo), cfg, floor, ceiling)
         history.append((iteration, ratio))
         best = _offer(best, ratio, size, cells)
     return best, history
 
 
-def _search_greedy(cfg: SearchConfig, floor: Optional[float], ceiling: float):
+def _search_greedy(
+    cfg: SearchConfig, floor: Optional[float], ceiling: float, memo: dict
+):
     n_cells = 1 << cfg.cell_resolution
     flip_rng = SplitMix64(derive_seed(cfg.seed, _GREEDY_FLIP_STREAM))
 
     def fresh_tree(restart: int) -> _CountTree:
         seed = derive_seed(cfg.seed, _GREEDY_RESTART_STREAM + restart)
         cells = _draw_cells(cfg.cell_resolution, _bias_for(cfg, restart), seed)
-        return _CountTree(cells, cfg.depth)
+        return _CountTree(cells, cfg.depth, memo)
 
     restarts = 0
     tree = fresh_tree(restarts)
@@ -442,11 +458,16 @@ def search_extremal(cfg: SearchConfig) -> SearchResult:
     ``history`` keeps one entry per iteration.  Every evaluated ratio is
     checked against the certified theorem floor.  The returned record
     carries an exact certified bracket for the winning set.
+
+    The extremes of every pencil block solved are kept, keyed by the block's
+    bytes, for the length of this call only, so a flip re-solves only the
+    blocks it changed.
     """
     floor = _floor_for(cfg.p)
     ceiling = float(Fraction(1) / cfg.p) + _FLOAT_TOL
     run = _search_random if cfg.mode == "random" else _search_greedy
-    (ratio, region, size), history = run(cfg, floor, ceiling)
+    (ratio, runs, size), history = run(cfg, floor, ceiling, {})
+    region = StepSet.from_runs(runs, 1 << cfg.cell_resolution)
     certificate = certified_lower_bound(region, cfg.p, cfg.depth)
     return SearchResult(
         best_set=region,

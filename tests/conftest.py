@@ -7,10 +7,12 @@ from itertools import combinations, permutations
 from math import prod
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import settings
 
 from haar_riesz import CoefficientMap, DyadicInterval, StepSet
-from haar_riesz.errors import InputError
+from haar_riesz.errors import ConvergenceError, InputError
+from haar_riesz.gram import _JACOBI_MAX_SWEEPS, _JACOBI_REL_TOL, _jacobi
 from haar_riesz.haar import PiecewiseConstant, haar_function
 from haar_riesz.weights import GridReport, WeightConfig, mass_cap, weight_mass
 
@@ -138,6 +140,53 @@ def dense_exact_psd(rows) -> bool:
             for j, cj in column:
                 row_i[j] -= ratio * cj
     return True
+
+
+def reference_extreme_eigenvalues(matrix):
+    """Reference (λ_min, λ_max): one Jacobi solve of the whole matrix.
+
+    The library's earlier route, kept here unchanged as a differential
+    reference for the block-by-block solve.
+    """
+    n = matrix.shape[0]
+    if n == 0:
+        raise InputError("eigenvalue bounds of an empty matrix are undefined")
+    work = np.array(matrix, dtype=np.float64, copy=True)
+    fro = float(np.sqrt((work * work).sum()))
+    if fro == 0.0:
+        return 0.0, 0.0
+    target = _JACOBI_REL_TOL * fro
+    off, sweeps = _jacobi(work, target, _JACOBI_MAX_SWEEPS)
+    if off > target:
+        raise ConvergenceError(
+            f"Jacobi iteration did not converge after {sweeps} sweeps "
+            f"(off-diagonal residual {off:.3e}, target {target:.3e})",
+            residual=float(off),
+        )
+    diag = np.diag(work)
+    return float(diag.min()), float(diag.max())
+
+
+def matrix_components(matrix):
+    """Connected components of a matrix's off-diagonal nonzero pattern, by
+    breadth-first search; each is a sorted list of indices (test-side)."""
+    n = matrix.shape[0]
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue, members = [start], []
+        while queue:
+            i = queue.pop()
+            members.append(i)
+            for j in range(n):
+                if j != i and matrix[i, j] != 0 and not seen[j]:
+                    seen[j] = True
+                    queue.append(j)
+        out.append(sorted(members))
+    return out
 
 
 def reference_combination(coeffs: CoefficientMap, region: StepSet) -> PiecewiseConstant:

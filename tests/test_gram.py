@@ -29,13 +29,16 @@ from haar_riesz import (
     verify_riesz,
 )
 from haar_riesz.counterexample import TWO_THIRDS_SET, zigzag_coefficients
+from haar_riesz import gram as gram_module
 from haar_riesz.gram import _exact_psd, _extreme_eigenvalues, _jacobi
 
 from conftest import (
     dense_exact_psd,
     dyadic_intervals,
     leibniz_det,
+    matrix_components,
     psd_by_principal_minors,
+    reference_extreme_eigenvalues,
     step_sets,
 )
 
@@ -293,6 +296,157 @@ class TestEigBounds:
             warnings.simplefilter("error")
             low, high = eig_bounds(gram)
         assert (low.hex(), high.hex()) == ("0x1.b3d5ffcc6411bp-1", "0x1.2964620074c6bp+0")
+
+
+BLOCK_KINDS = ("single", "zero", "dense", "path", "star")
+
+
+def draw_block(kind, rng):
+    """One symmetric block: a 1×1, an all-zero block, a dense block, or a
+    path or a star with nonzero edges."""
+    if kind == "single":
+        return rng.standard_normal((1, 1))
+    size = int(rng.integers(2, 7))
+    if kind == "zero":
+        return np.zeros((size, size))
+    if kind == "dense":
+        a = rng.standard_normal((size, size))
+        return (a + a.T) / 2
+    block = np.diag(rng.standard_normal(size))
+    edges = rng.uniform(0.25, 1.5, size - 1) * rng.choice((-1.0, 1.0), size - 1)
+    for k, weight in enumerate(edges, start=1):
+        i, j = (k - 1, k) if kind == "path" else (0, k)
+        block[i, j] = block[j, i] = weight
+    return block
+
+
+@st.composite
+def permuted_block_matrices(draw, kinds=BLOCK_KINDS, max_blocks=6):
+    """A block-diagonal matrix under a random symmetric permutation, and the
+    sorted positions each block lands on."""
+    chosen = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=max_blocks))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = [draw_block(kind, rng) for kind in chosen]
+    n = sum(block.shape[0] for block in blocks)
+    matrix = np.zeros((n, n))
+    owner = []
+    start = 0
+    for k, block in enumerate(blocks):
+        size = block.shape[0]
+        matrix[start : start + size, start : start + size] = block
+        owner += [k] * size
+        start += size
+    perm = rng.permutation(n)  # original index perm[a] moves to position a
+    positions = [[a for a in range(n) if owner[perm[a]] == k] for k in range(len(blocks))]
+    return matrix[np.ix_(perm, perm)], positions
+
+
+def per_block_reference(matrix, positions):
+    """min and max over the blocks of the whole-matrix reference on each."""
+    values = [reference_extreme_eigenvalues(matrix[np.ix_(p, p)]) for p in positions]
+    return min(low for low, _ in values), max(high for _, high in values)
+
+
+def hexes(pair):
+    return tuple(x.hex() for x in pair)
+
+
+class TestBlockExtremes:
+    """The block-by-block solve against the whole-matrix Jacobi solve."""
+
+    @given(permuted_block_matrices())
+    @settings(max_examples=150)
+    def test_block_diagonal_matches_references(self, drawn):
+        matrix, positions = drawn
+        low, high = _extreme_eigenvalues(matrix)
+        # each block is solved on its own, to its own accuracy
+        assert hexes((low, high)) == hexes(per_block_reference(matrix, positions))
+        ref_low, ref_high = reference_extreme_eigenvalues(matrix)
+        assert abs(low - ref_low) <= 1e-12 and abs(high - ref_high) <= 1e-12
+        spectrum = np.linalg.eigvalsh(matrix)
+        assert abs(low - spectrum[0]) <= 1e-9 and abs(high - spectrum[-1]) <= 1e-9
+
+    @given(permuted_block_matrices(kinds=("dense", "path", "star"), max_blocks=1))
+    @settings(max_examples=60)
+    def test_connected_matrix_gets_the_whole_matrix_bits(self, drawn):
+        matrix, _ = drawn
+        assert len(matrix_components(matrix)) == 1
+        assert hexes(_extreme_eigenvalues(matrix)) == hexes(
+            reference_extreme_eigenvalues(matrix)
+        )
+
+    def test_connected_dyadic_pencils_get_the_whole_matrix_bits(self):
+        # root-dense families whose members all carry a nonzero slope or
+        # lie above one that does
+        connected = 0
+        for k in range(60):
+            region = random_stepset(8, 0.8, derive_seed(0xB10C, k))
+            family = enumerate_family(2 + k % 2, region, F(43, 64))
+            matrix = build_gram(family, region, normalized=True).as_float()
+            if len(family) > 1 and len(matrix_components(matrix)) == 1:
+                connected += 1
+                assert hexes(_extreme_eigenvalues(matrix)) == hexes(
+                    reference_extreme_eigenvalues(matrix)
+                )
+        assert connected >= 20
+        for n in (3, 6, 9):
+            matrix = perturbation_demo(n).gram.as_float()
+            assert hexes(eig_bounds(perturbation_demo(n).gram)) == hexes(
+                reference_extreme_eigenvalues(matrix)
+            )
+
+    def test_small_block_beside_a_huge_one_is_solved_to_its_own_accuracy(self):
+        # the whole matrix's tolerance would accept the small block unrotated
+        matrix = np.zeros((4, 4))
+        matrix[:2, :2] = [[2e14, 1e14], [1e14, 2e14]]
+        matrix[2:, 2:] = [[1.0, 0.5], [0.5, 1.0]]
+        low, high = _extreme_eigenvalues(matrix)
+        assert abs(low - 0.5) <= 1e-15
+        assert abs(high - 3e14) <= 1e-1
+
+    def test_singletons_keep_their_values(self):
+        assert _extreme_eigenvalues(np.diag([3.0, -2.0, 7.0])) == (-2.0, 7.0)
+        assert _extreme_eigenvalues(np.array([[4.5]])) == (4.5, 4.5)
+        assert _extreme_eigenvalues(np.zeros((3, 3))) == (0.0, 0.0)
+
+    def test_unconverged_block_raises(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        matrix = np.zeros((6, 6))
+        matrix[0, 0] = 2.0
+        a = rng.standard_normal((5, 5))
+        matrix[1:, 1:] = (a + a.T) / 2
+        monkeypatch.setattr(gram_module, "_JACOBI_MAX_SWEEPS", 1)
+        for memo in (None, {}):
+            with pytest.raises(ConvergenceError):
+                _extreme_eigenvalues(matrix, memo)
+        assert memo == {}
+
+    def test_memo_reuses_blocks_by_their_bytes(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].shape[0])
+            return _jacobi(*args)
+
+        monkeypatch.setattr(gram_module, "_jacobi", counted)
+        block = np.array([[1.0, 0.25, 0.0], [0.25, 1.0, -0.5], [0.0, -0.5, 1.0]])
+        first = np.zeros((5, 5))
+        first[:3, :3] = block
+        first[3:, 3:] = [[1.0, 0.75], [0.75, 1.0]]
+        second = np.zeros((5, 5))
+        second[0, 0] = 1.0
+        second[1:4, 1:4] = block  # the same block at other positions
+        second[4, 4] = 1.0
+        memo = {}
+        values = _extreme_eigenvalues(first, memo)
+        assert calls == [3, 2] and len(memo) == 2
+        assert _extreme_eigenvalues(second, memo) == (
+            memo[block.tobytes()][0],
+            max(1.0, memo[block.tobytes()][1]),
+        )
+        assert calls == [3, 2]  # read from the memo, not solved
+        assert _extreme_eigenvalues(first) == values  # no memo: solved again
+        assert calls == [3, 2, 3, 2]
 
 
 class TestPsdCertificate:

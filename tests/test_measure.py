@@ -1,3 +1,6 @@
+import pickle
+import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +16,8 @@ from haar_riesz import (
     normalize,
 )
 from haar_riesz.haar import halves
-from haar_riesz.measure import measures_below
+from haar_riesz import measure
+from haar_riesz.measure import cell_runs, measures_below
 
 from conftest import clip_stepset, dyadic_intervals, step_sets
 
@@ -84,6 +88,78 @@ class TestFromCells:
             (F(0), F(1, 2)),
             (F(3, 4), F(1)),
         )
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=40))
+    def test_cell_runs_are_the_intervals_in_integers(self, cells):
+        runs = cell_runs(cells)
+        m = len(cells)
+        assert StepSet.from_cells(cells).intervals == tuple(
+            (F(a, m), F(b, m)) for a, b in runs
+        )
+        assert all(a < b for a, b in runs)
+        assert all(b < c for (_, b), (c, _) in zip(runs, runs[1:]))  # maximal
+        assert [k for a, b in runs for k in range(a, b)] == [
+            k for k, present in enumerate(cells) if present
+        ]
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda r: st.tuples(
+                *[st.lists(st.booleans(), min_size=1 << r, max_size=1 << r)] * 2
+            )
+        )
+    )
+    def test_run_order_is_interval_order(self, pair):
+        first, second = pair
+        assert (cell_runs(first) < cell_runs(second)) == (
+            StepSet.from_cells(first).intervals < StepSet.from_cells(second).intervals
+        )
+
+    def test_sets_of_one_scale_share_endpoints(self):
+        rng = random.Random(3)
+        sets = [StepSet.from_cells([rng.random() < 0.5 for _ in range(16)]) for _ in range(8)]
+        seen = {}
+        ends = [end for region in sets for pair in region.intervals for end in pair]
+        for end in ends:
+            assert seen.setdefault(end, end) is end
+        assert len(ends) > len(seen)  # some endpoint is held by several sets
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=40))
+    def test_shared_endpoints_change_no_behaviour(self, cells):
+        m = len(cells)
+        built = StepSet.from_cells(cells)
+        fresh = StepSet(
+            tuple((F(k, m), F(k + 1, m)) for k, present in enumerate(cells) if present)
+        )
+        assert built == fresh and hash(built) == hash(fresh)
+        assert pickle.dumps(built) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(built)) == built
+        assert built.to_json_dict() == fresh.to_json_dict()
+        assert built.complement() == fresh.complement()
+        assert built.complement().complement() == built
+
+    def test_kept_sets_hold_no_fractions_of_their_own(self):
+        rng = random.Random(8)
+        draws = [[rng.random() < 0.55 for _ in range(256)] for _ in range(100)]
+        StepSet.from_cells([True, False] * 128)  # fills the table of scale 256
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [StepSet.from_cells(cells) for cells in draws]
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        intervals = sum(len(region.intervals) for region in kept)
+        assert intervals > 5000
+        assert size / intervals <= 80
+
+    def test_endpoint_table_holds_only_points_of_the_unit_interval(self):
+        with pytest.raises(InputError):
+            StepSet.from_runs([(0, 300)], 256)
+        with pytest.raises(InputError):
+            StepSet.from_runs([(-1, 3)], 256)
+        StepSet.from_runs([(0, 256)], 256)
+        assert set(measure._ENDPOINTS[256]) <= set(range(257))
 
     def test_fractions_are_not_rewrapped(self):
         left, right = F(1, 3), F(2, 3)

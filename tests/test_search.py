@@ -3,6 +3,7 @@ import json
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -28,10 +29,13 @@ from haar_riesz import (
     search_extremal,
     splitmix64,
 )
+from haar_riesz import gram as gram_module
 from haar_riesz import search
 from haar_riesz.counterexample import TWO_THIRDS_SET
 from haar_riesz.haar import MAX_DEPTH, halves
 from haar_riesz.search import MAX_RESOLUTION, _CountTree, _draw_cells
+
+from conftest import matrix_components
 
 FULL = StepSet(((0, 1),))
 
@@ -436,6 +440,8 @@ class TestFinerResolution:
 class TestCandidateWork:
     @pytest.mark.parametrize("mode", ["random", "greedy-flip"])
     def test_only_winning_or_tied_candidates_build_a_stepset(self, monkeypatch, mode):
+        """Winning and tied candidates find their integer runs, for the
+        tie-break; one StepSet is built, for the final winner."""
         calls = Counter()
 
         def counted(name, function):
@@ -445,12 +451,17 @@ class TestCandidateWork:
 
             return wrapper
 
-        for name in ("random_stepset", "enumerate_family", "build_gram", "eig_bounds"):
+        for name in (
+            "random_stepset",
+            "enumerate_family",
+            "build_gram",
+            "eig_bounds",
+            "cell_runs",
+        ):
             monkeypatch.setattr(search, name, counted(name, getattr(search, name)))
-        from_cells = StepSet.from_cells.__func__
-        monkeypatch.setattr(
-            StepSet, "from_cells", classmethod(counted("from_cells", from_cells))
-        )
+        for name in ("from_cells", "from_runs"):
+            method = getattr(StepSet, name).__func__
+            monkeypatch.setattr(StepSet, name, classmethod(counted(name, method)))
         ratios = []
         score = search._score
 
@@ -474,12 +485,119 @@ class TestCandidateWork:
             1 for k, r in enumerate(ratios) if k == 0 or r <= min(ratios[:k])
         )
         assert contenders < len(ratios)  # some candidates neither win nor tie
-        assert calls["from_cells"] == contenders
+        assert calls["cell_runs"] == contenders
+        assert (calls["from_runs"], calls["from_cells"]) == (1, 0)
         # the final bracket on the winning set is the only Fraction route
         assert calls["enumerate_family"] == 1
         assert calls["build_gram"] == 1
         assert calls["random_stepset"] == 0
         assert calls["eig_bounds"] == 0
+
+
+def multi_member_blocks(tree, p):
+    """The bytes of each block of two or more members of the candidate's
+    pencil, found by breadth-first search (test-side)."""
+    family, matrix = tree.pencil(p)
+    if not family:
+        return set()
+    return {
+        matrix[np.ix_(members, members)].tobytes()
+        for members in matrix_components(matrix)
+        if len(members) > 1
+    }
+
+
+class TestBlockMemo:
+    """One search keeps the extremes of every pencil block it solved."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = [0]
+        jacobi = gram_module._jacobi
+
+        def counted(*args):
+            calls[0] += 1
+            return jacobi(*args)
+
+        monkeypatch.setattr(gram_module, "_jacobi", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "p,depth,resolution,bias",
+        [(F(43, 64), 6, 8, 0.55), (F(3, 4), 5, 4, 0.7), (F(1, 2), 4, 6, 0.5)],
+    )
+    def test_greedy_flip_solves_only_the_blocks_it_changed(
+        self, monkeypatch, p, depth, resolution, bias
+    ):
+        solves = self.count_solves(monkeypatch)
+        before = {}  # tree -> (family, blocks) just before its last toggle
+        toggle = _CountTree.toggle
+
+        def recorded_toggle(tree, cell):
+            before[tree] = (set(tree.family(p)), multi_member_blocks(tree, p))
+            toggle(tree, cell)
+
+        monkeypatch.setattr(_CountTree, "toggle", recorded_toggle)
+        starts = flips = reused = solved = 0
+        score = search._score
+
+        def checked(tree, cfg, floor, ceiling):
+            start = solves[0]
+            out = score(tree, cfg, floor, ceiling)
+            nonlocal starts, flips, reused, solved
+            if tree not in before:  # a start or a restart: a fresh tree
+                starts += 1
+            else:
+                family, old_blocks = before.pop(tree)
+                new_blocks = multi_member_blocks(tree, p)
+                fresh = solves[0] - start
+                # a block of the pencil the flip started from is never re-solved
+                assert fresh <= len(new_blocks - old_blocks)
+                # a flip changes the one block holding its changed members;
+                # only a member that leaves can split a block in more
+                if family <= set(tree.family(p)):
+                    assert fresh <= 1
+                flips += 1
+                solved += fresh
+                reused += len(new_blocks) - fresh
+            return out
+
+        monkeypatch.setattr(search, "_score", checked)
+        for k in range(4):
+            search_extremal(
+                SearchConfig(
+                    p=p,
+                    depth=depth,
+                    cell_resolution=resolution,
+                    iterations=70,  # beyond the stagnation limit: restarts
+                    seed=derive_seed(0x3E30, k),
+                    mode="greedy-flip",
+                    density_bias=bias,
+                )
+            )
+        assert flips == 4 * 70 and starts > 4
+        assert reused > solved
+
+    @pytest.mark.parametrize("mode", ["random", "greedy-flip"])
+    def test_no_block_outlives_a_search(self, monkeypatch, mode):
+        solves = self.count_solves(monkeypatch)
+        cfg = SearchConfig(
+            p=F(43, 64),
+            depth=6,
+            cell_resolution=8,
+            iterations=12,
+            seed=0xA11,
+            mode=mode,
+            density_bias=0.55,
+        )
+        counts = []
+        results = []
+        for _ in range(2):
+            start = solves[0]
+            results.append(search_extremal(cfg))
+            counts.append(solves[0] - start)
+        assert counts[0] == counts[1] > 0
+        assert results[0] == results[1]
 
 
 # Digests of seeded results, taken before candidates were scored on the count
