@@ -222,7 +222,7 @@ def cmd_search(args) -> int:
         density_bias=args.bias,
     )
     result = search_extremal(cfg)
-    payload = result.to_json_dict()
+    payload = result.to_json_dict(args.precision)
     payload["config"] = {
         "p": format_rational(cfg.p),
         "depth": cfg.depth,
@@ -383,6 +383,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse already printed usage to stderr
         return int(exc.code) if exc.code else 0
     try:
+        if args.precision < 0:
+            raise InputError(f"precision must be >= 0, got {args.precision}")
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

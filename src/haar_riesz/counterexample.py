@@ -77,6 +77,9 @@ class CounterexampleRow(NamedTuple):
     ratio: Fraction
 
 
+MAX_TABLE_N = 200  # row n integrates a step function down to level 2n: 11.6 s at the cap
+
+
 def counterexample_table(N: int) -> List[CounterexampleRow]:
     """Exact Riesz-ratio table of the zig-zag family for n = 0..N.
 
@@ -86,6 +89,8 @@ def counterexample_table(N: int) -> List[CounterexampleRow]:
     """
     if N < 0:
         raise InputError(f"need N >= 0, got {N}")
+    if N > MAX_TABLE_N:
+        raise InputError(f"need N <= {MAX_TABLE_N}, got {N}")
     rows = []
     running = Fraction(0)
     coeffs: dict[DyadicInterval, Fraction] = {}

@@ -1,5 +1,10 @@
 """Exact Gram matrices of restricted Haar families.
 
+A Gram matrix is kept as its diagonal and each row's nonzero entries left
+of it.  A family's entries, O(n·depth) of them, are written by one walk up
+each member's ancestor chain (:func:`_chain_store`), independent of the
+pairwise reference :func:`haar.inner_product`; dense rows only on request.
+
 Two verification routes live here and are kept deliberately independent:
 
 * an exact route — one rational LDLᵀ, eliminating members from the last
@@ -31,21 +36,34 @@ from .rational import format_rational, render_float
 class GramMatrix:
     """Symmetric matrix of exact inner products of a finite vector family.
 
-    ``entries`` always holds the raw rational inner products.  When
-    ``normalized`` is set the matrix *represents* the family v_i/‖v_i‖; those
-    entries involve square roots of rationals, so they are materialized only
-    in the float view (:meth:`as_float`), while every exact computation works
-    on the equivalent pencil form with the diagonal.
+    The one store: ``diagonal`` and, in ``lower[i]``, row i's nonzero raw
+    rational inner products left of the diagonal as (j, G_ij), j ascending.
+    Dense ``entries`` are built on request; :meth:`from_entries` goes the
+    other way.  When ``normalized`` is set the matrix *represents* the family
+    v_i/‖v_i‖; those entries involve square roots of rationals, so they are
+    materialized only in the float view (:meth:`as_float`), while every exact
+    computation works on the equivalent pencil form with the diagonal.
     """
 
-    entries: Tuple[Tuple[Fraction, ...], ...]
+    diagonal: Tuple[Fraction, ...]
+    lower: Tuple[Tuple[Tuple[int, Fraction], ...], ...]
     labels: Optional[Tuple[DyadicInterval, ...]] = None
     normalized: bool = False
 
     def __post_init__(self):
+        if self.labels is not None and len(self.labels) != self.size:
+            raise InputError("label count must match matrix size")
+        if self.normalized and any(d <= 0 for d in self.diagonal):
+            raise InputError("normalized Gram matrix requires positive diagonal")
+        if self.labels is not None:
+            object.__setattr__(self, "labels", tuple(self.labels))
+
+    @classmethod
+    def from_entries(cls, entries, labels=None, normalized: bool = False) -> "GramMatrix":
+        """The store of a dense symmetric matrix; entries become Fractions."""
         rows = tuple(
             tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-            for row in self.entries
+            for row in entries
         )
         n = len(rows)
         if any(len(row) != n for row in rows):
@@ -57,33 +75,26 @@ class GramMatrix:
                 (i, j) for i in range(n) for j in range(i) if rows[i][j] != rows[j][i]
             )
             raise InputError(f"Gram matrix not symmetric at ({i}, {j})")
-        if self.labels is not None and len(self.labels) != n:
-            raise InputError("label count must match matrix size")
-        if self.normalized and any(rows[i][i] <= 0 for i in range(n)):
-            raise InputError("normalized Gram matrix requires positive diagonal")
-        object.__setattr__(self, "entries", rows)
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
+        lower = tuple(
+            tuple((j, x) for j, x in enumerate(row[:i]) if x)
+            for i, row in enumerate(rows)
+        )
+        return cls(tuple(rows[i][i] for i in range(n)), lower, labels, normalized)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
-
-    @property
-    def diagonal(self) -> Tuple[Fraction, ...]:
-        return tuple(self.entries[i][i] for i in range(self.size))
+        return len(self.diagonal)
 
     @cached_property
-    def lower(self) -> Tuple[Tuple[Tuple[int, Fraction], ...], ...]:
-        """Row i's nonzero entries left of the diagonal, as (j, G_ij) pairs.
-
-        Built once, on first use, and immutable: the exact routes copy it
-        into their own row store, in O(n + nonzeros) rather than O(n²).
-        """
-        return tuple(
-            tuple((j, x) for j, x in enumerate(row[:i]) if x)
-            for i, row in enumerate(self.entries)
-        )
+    def entries(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """The dense matrix, built from the store on first use."""
+        zero = Fraction(0)
+        rows = [[zero] * self.size for _ in self.diagonal]
+        for i, (d, row) in enumerate(zip(self.diagonal, self.lower)):
+            rows[i][i] = d
+            for j, x in row:
+                rows[i][j] = rows[j][i] = x
+        return tuple(map(tuple, rows))
 
     def as_float(self) -> np.ndarray:
         """Float64 view; applies the 1/√(G_ii·G_jj) normalization if flagged.
@@ -92,14 +103,7 @@ class GramMatrix:
         the matrix: the float search scores, which build their pencils with
         the same helper, are bit for bit the values of this view.
         """
-        lower = self.lower
-        return float_view(
-            [float(d) for d in self.diagonal],
-            [i for i, row in enumerate(lower) for _ in row],
-            [j for row in lower for j, _ in row],
-            [float(x) for row in lower for _, x in row],
-            self.normalized,
-        )
+        return float_view([float(d) for d in self.diagonal], self.lower, self.normalized)
 
     def to_json_dict(self) -> dict:
         return {
@@ -120,24 +124,18 @@ class GramMatrix:
 
 
 def float_view(
-    diagonal: Sequence[float],
-    rows: Sequence[int],
-    cols: Sequence[int],
-    values: Sequence[float],
-    normalized: bool,
+    diagonal: Sequence[float], lower: Sequence[Sequence], normalized: bool
 ) -> np.ndarray:
-    """Symmetric float64 matrix from its diagonal and the entries left of it.
-
-    Entry k sits at (rows[k], cols[k]) with rows[k] > cols[k], and at the
-    mirrored place; every other off-diagonal entry is 0.  When ``normalized``
-    is set, the diagonal is 1 and entry k becomes
-    (values[k]·s_rows[k])·s_cols[k] with s_i = diagonal[i]^(−1/2), multiplied
-    in that order, so every caller gets the same bits for the same entries.
+    """Symmetric float64 matrix from its diagonal and the entries left of it,
+    stored as in :class:`GramMatrix`.  When ``normalized`` is set, the
+    diagonal is 1 and the entry x at (i, j) becomes (x·s_i)·s_j with
+    s_i = diagonal[i]^(−1/2), multiplied in that order, so every caller gets
+    the same bits for the same entries.
     """
     n = len(diagonal)
-    rows = np.array(rows, dtype=np.intp)
-    cols = np.array(cols, dtype=np.intp)
-    values = np.array(values, dtype=np.float64)
+    rows = np.array([i for i, row in enumerate(lower) for _ in row], dtype=np.intp)
+    cols = np.array([j for row in lower for j, _ in row], dtype=np.intp)
+    values = np.array([float(x) for row in lower for _, x in row], dtype=np.float64)
     out = np.zeros((n, n), dtype=np.float64)
     if normalized:
         scale = np.array([d ** -0.5 for d in diagonal], dtype=np.float64)
@@ -150,6 +148,39 @@ def float_view(
     return out
 
 
+def _chain_store(nodes: Sequence[int], mass: Sequence, slope: Sequence) -> tuple:
+    """(diagonal, lower) of a family's Gram matrix from each member's mass
+    |I∩E| and slope |rh(I)∩E| − |lh(I)∩E|; members are heap numbers
+    (2^level + index, parent v >> 1) in any order, repeats allowed.  For
+    J ⊋ I the entry is ±slope(I), + when I ⊂ rh(J); copies of one interval
+    share its mass, and every other pair is orthogonal.
+    """
+    positions: dict = {}
+    for k, v in enumerate(nodes):
+        positions.setdefault(v, []).append(k)
+    lower = [[] for _ in nodes]
+    for same in positions.values():  # copies of one interval share its mass
+        for a in range(1, len(same)):
+            i = same[a]
+            if mass[i]:
+                lower[i] += [(j, mass[i]) for j in same[:a]]
+    for i, (v, s) in enumerate(zip(nodes, slope)):
+        if not s:
+            continue
+        row = lower[i]
+        while v > 1:
+            value = s if v & 1 else -s  # + iff the member is in v's parent's right half
+            v >>= 1
+            for j in positions.get(v, ()):
+                if j < i:
+                    row.append((j, value))
+                else:
+                    lower[j].append((i, value))
+    for row in lower:
+        row.sort()  # the columns in a row are distinct
+    return tuple(mass), tuple(map(tuple, lower))
+
+
 def build_gram(
     family: Sequence[DyadicInterval], region: StepSet, normalized: bool = False
 ) -> GramMatrix:
@@ -158,11 +189,10 @@ def build_gram(
     Dyadic intervals are nested or disjoint, so the only nonzero entries pair
     a member with its ancestors: for J ⊋ I, ⟨h_I 1_E, h_J 1_E⟩ = ±(|rh(I)∩E| −
     |lh(I)∩E|), with + when I ⊂ rh(J).  Each member's mass and slope come from
-    one sweep of E, and the entries are filled along each member's ancestor
-    chain: O(n·depth) entries, and no table over a whole dyadic level.
+    one sweep of E, and :func:`_chain_store` writes the entries along each
+    member's ancestor chain: O(n·depth) entries, and no dense matrix.
     """
     family = tuple(family)
-    n = len(family)
     top = max((interval.level for interval in family), default=0) + 1
     # ends of each member and of its halves, in units of 2^-top
     ends = [
@@ -184,42 +214,13 @@ def build_gram(
                 raise InputError(
                     f"cannot normalize: {interval} has zero restricted norm"
                 )
-
-    positions: dict[Tuple[int, int], list[int]] = {}
-    for i, interval in enumerate(family):
-        positions.setdefault((interval.level, interval.index), []).append(i)
-    zero = Fraction(0)
-    rows = [[zero] * n for _ in range(n)]
-    for i, interval in enumerate(family):
-        level, index = interval.level, interval.index
-        for j in positions[level, index]:  # the member itself and any repeats
-            rows[i][j] = mass[i]
-        s = slope[i]
-        if not s:
-            continue
-        for shift in range(1, level + 1):
-            ancestor = (level - shift, index >> shift)
-            # I lies in the right half of the ancestor iff this index bit is set
-            value = s if (index >> (shift - 1)) & 1 else -s
-            for j in positions.get(ancestor, ()):
-                rows[i][j] = value
-                rows[j][i] = value
-    return GramMatrix(tuple(tuple(row) for row in rows), family, normalized)
+    nodes = [(1 << interval.level) | interval.index for interval in family]
+    diagonal, lower = _chain_store(nodes, mass, slope)
+    return GramMatrix(diagonal, lower, family, normalized)
 
 
 # --------------------------------------------------------------------------
 # exact PSD certificate
-
-
-def _exact_psd(rows) -> bool:
-    """Decide positive semidefiniteness of a symmetric rational matrix, exactly.
-
-    Takes dense rows, keeps the diagonal and each row's nonzero entries left
-    of it, and runs :func:`_ldlt_psd` on them.
-    """
-    diag = [row[i] for i, row in enumerate(rows)]
-    lower = [{j: x for j, x in enumerate(row[:i]) if x} for i, row in enumerate(rows)]
-    return _ldlt_psd(diag, lower)
 
 
 def _ldlt_psd(diag: list, lower: list) -> bool:
@@ -465,6 +466,9 @@ class PerturbationDemo:
     gram: GramMatrix
 
 
+MAX_VECTORS = 500  # perturbation_demo stores n(n−1)/2 entries: about 125k at the cap
+
+
 def perturbation_demo(n: int) -> PerturbationDemo:
     """Recenter n orthonormal vectors by their mean: u_i' = u_i − (u_1+…+u_n)/n.
 
@@ -475,12 +479,13 @@ def perturbation_demo(n: int) -> PerturbationDemo:
     """
     if n < 2:
         raise InputError(f"need at least 2 vectors, got {n}")
+    if n > MAX_VECTORS:
+        raise InputError(f"need at most {MAX_VECTORS} vectors, got {n}")
     q = Fraction(1, n)
-    entries = tuple(
-        tuple((1 - q) if i == j else -q for j in range(n)) for i in range(n)
-    )
-    gram = GramMatrix(entries, labels=None, normalized=False)
+    lower = tuple(tuple((j, -q) for j in range(i)) for i in range(n))
+    gram = GramMatrix((1 - q,) * n, lower)
     sum_norm_sq = sum(gram.diagonal, Fraction(0))
-    norm_of_sum_sq = sum((x for row in gram.entries for x in row), Fraction(0))
+    off_diagonal = sum((x for row in gram.lower for _, x in row), Fraction(0))
+    norm_of_sum_sq = sum_norm_sq + 2 * off_diagonal
     per_vector = q * q * n  # ‖(1/n)·u‖² with ‖u‖² = n
     return PerturbationDemo(n, sum_norm_sq, norm_of_sum_sq, per_vector, gram)

@@ -2,8 +2,10 @@
 
 Candidates are cell sets at ``cell_resolution``, and each is scored on an
 integer cell-count tree (:class:`_CountTree`): admissibility, masses and
-slopes are read off the counts of its dyadic nodes, a greedy flip updates
-one ancestor chain, and the float pencil is filled from those integers with
+slopes are read off the counts of its dyadic nodes, and a greedy flip
+updates one cell's subtree and ancestor chain.  The pencil's entries are
+written by the ancestor-chain walk that :func:`build_gram` uses
+(:func:`gram._chain_store`) and filled in by :func:`float_view`, so they have
 the bits :meth:`GramMatrix.as_float` gives.  The pencil splits into
 independent blocks under non-member ancestors, and its extremes are solved
 block by block; a memo that lives for one search keeps each solved block's
@@ -29,6 +31,7 @@ import numpy as np
 from .constants import riesz_constant
 from .errors import ConsistencyError, InputError
 from .gram import (
+    _chain_store,
     _extreme_eigenvalues,
     build_gram,
     eig_bounds,
@@ -152,16 +155,17 @@ class SearchResult:
     certificate_lower: Fraction
     history: Tuple[Tuple[int, float], ...]
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, precision: int = 17) -> dict:
+        """Floats rendered to ``precision`` significant digits."""
         from .rational import format_rational, render_float
 
         return {
             "best_set": self.best_set.to_json_dict(),
-            "best_ratio": render_float(self.best_ratio),
+            "best_ratio": render_float(self.best_ratio, precision),
             "family_size": self.family_size,
             "certificate_lower": format_rational(self.certificate_lower),
             "history": [
-                [i, render_float(r)] for i, r in self.history
+                [i, render_float(r, precision)] for i, r in self.history
             ],
         }
 
@@ -237,14 +241,15 @@ def _draw_cells(resolution: int, density_bias: float, seed: int) -> List[bool]:
 
 
 class _CountTree:
-    """Covered-leaf counts of every dyadic node from level 0 to depth + 1.
+    """Covered-leaf counts of every dyadic node from level 0 to unit.
 
-    A candidate's cells at ``resolution`` fill the tree; nodes are numbered
-    as in a heap (node (level, index) is 2^level + index, its halves are 2v
-    and 2v + 1, its parent v >> 1).  Counts are integers in units of
-    2^−unit, unit = max(resolution, depth + 1), so a member's mass is its
-    count and its slope |rh ∩ E| − |lh ∩ E| is the difference of its halves'
-    counts, both exact and free of Fractions.
+    A candidate's cells at ``resolution`` fill the tree, each cell as
+    2^(unit − resolution) leaves; nodes are numbered as in a heap (node
+    (level, index) is 2^level + index, its halves are 2v and 2v + 1, its
+    parent v >> 1).  Counts are integers in units of 2^−unit,
+    unit = max(resolution, depth + 1), so a member's mass is its count and
+    its slope |rh ∩ E| − |lh ∩ E| is the difference of its halves' counts,
+    both exact and free of Fractions.
     """
 
     __slots__ = ("cells", "resolution", "depth", "unit", "counts", "memo")
@@ -254,41 +259,27 @@ class _CountTree:
         self.memo = memo
         self.resolution = resolution = len(cells).bit_length() - 1
         self.depth = depth
-        top = depth + 1
-        self.unit = max(resolution, top)
-        base = 1 << top
-        counts = [0] * (2 * base)
-        if resolution >= top:  # each level-top node holds whole cells of count 1
-            for k, present in enumerate(cells):
-                counts[base + (k >> (resolution - top))] += present
-        else:  # each cell covers whole level-top nodes of count 1
-            span = 1 << (top - resolution)
-            for k, present in enumerate(cells):
-                if present:
-                    counts[base + k * span : base + (k + 1) * span] = [1] * span
+        self.unit = unit = max(resolution, depth + 1)
+        leaves = list(map(int, cells))
+        for _ in range(unit - resolution):  # halve every cell down to the leaves
+            leaves = [present for present in leaves for _ in (0, 1)]
+        base = len(leaves)
+        self.counts = counts = [0] * base + leaves
         for v in range(base - 1, 0, -1):
             counts[v] = counts[2 * v] + counts[2 * v + 1]
-        self.counts = counts
 
     def toggle(self, cell: int):
-        """Flip one cell.  Its ancestor chain changes by the cell's count; a
-        cell coarser than level depth + 1 also fills or empties every node of
-        its subtree down to that level."""
+        """Flip one cell: its subtree's nodes and its ancestor chain change
+        by their counts of its leaves."""
         self.cells[cell] = present = not self.cells[cell]
         delta = 1 if present else -1
-        counts, resolution, top = self.counts, self.resolution, self.depth + 1
-        if resolution >= top:
-            v = (1 << top) | (cell >> (resolution - top))
-            weight = delta
-        else:
-            v = (1 << resolution) | cell
-            weight = delta << (top - resolution)
-            first = v
-            for level in range(resolution + 1, top + 1):
-                first *= 2
-                share = delta << (top - level)
-                for u in range(first, first + (1 << (level - resolution))):
-                    counts[u] += share
+        counts, below = self.counts, self.unit - self.resolution
+        v = (1 << self.resolution) | cell
+        for down in range(1, below + 1):
+            share = delta << (below - down)
+            for u in range(v << down, (v + 1) << down):
+                counts[u] += share
+        weight = delta << below
         while v:
             counts[v] += weight
             v >>= 1
@@ -307,34 +298,19 @@ class _CountTree:
         """The admissible family and the float view of its normalized Gram
         matrix, entry for entry the bits of ``build_gram(..., True).as_float()``.
 
-        A member's only nonzero off-diagonal entries pair it with its family
-        ancestors: ±slope, + when it lies in the ancestor's right half.
+        The counts times 2^−unit, exact in float64, go through the
+        ancestor-chain walk of :func:`build_gram` (:func:`gram._chain_store`)
+        and the fill of :meth:`GramMatrix.as_float` (:func:`float_view`).
         """
         counts = self.counts
         family = self.family(p)
-        position = {v: k for k, v in enumerate(family)}
-        rows, cols, values = [], [], []
-        for k, v in enumerate(family):
-            slope = counts[2 * v + 1] - counts[2 * v]
-            if not slope:
-                continue
-            child = v
-            while child > 1:
-                j = position.get(child >> 1)
-                if j is not None:
-                    rows.append(k)
-                    cols.append(j)
-                    values.append(slope if child & 1 else -slope)
-                child >>= 1
-        step = 2.0 ** -self.unit  # counts and slopes are exact in float64
-        matrix = float_view(
+        step = 2.0 ** -self.unit
+        diagonal, lower = _chain_store(
+            family,
             [counts[v] * step for v in family],
-            rows,
-            cols,
-            [x * step for x in values],
-            normalized=True,
+            [(counts[2 * v + 1] - counts[2 * v]) * step for v in family],
         )
-        return family, matrix
+        return family, float_view(diagonal, lower, normalized=True)
 
     def extremes(self, p: Fraction) -> Tuple[float, float, int]:
         """:func:`pencil_extremes` of the candidate, bit for bit.

@@ -18,12 +18,18 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional
 
 from .errors import InputError
-from .haar import CoefficientMap, halves
+from .haar import MAX_DEPTH, CoefficientMap, halves
 from .measure import DyadicInterval, StepSet, density, intersect_measure
 
 _TWO_THIRDS = Fraction(2, 3)
 
 MAX_GRID = 4096  # verify_grid decides (grid+1)² pairs: about 16.8M at the cap
+MAX_LEVEL = MAX_DEPTH  # the weighted norms sweep 2^(level+1) cells: 131072 at the cap
+
+
+def _check_level(level: int):
+    if level > MAX_LEVEL:
+        raise InputError(f"level must be <= {MAX_LEVEL}, got {level}")
 
 
 @dataclass(frozen=True)
@@ -182,6 +188,7 @@ def weight_profile(region: StepSet, n: int, cfg: WeightConfig) -> WeightProfile:
     """
     if n < 0:
         raise InputError(f"need n >= 0, got {n}")
+    _check_level(n)
     default = weight_mass(cfg.p, cfg) / cfg.p
     values: Dict[DyadicInterval, Fraction] = {}
     for index in range(1 << (n + 1)):
@@ -221,6 +228,7 @@ def weighted_norm_sq(
     weight_mass(q)/q; each cell therefore contributes value²·weight_mass(q)·|cell|,
     which also settles the zero-density cells (weight_mass(0) = 0).
     """
+    _check_level(level)
     cell_level = level + 1
     svals = _partial_sum_values(coeffs, level, cell_level)
     total = Fraction(0)
@@ -252,6 +260,7 @@ def induction_step_check(
     all-a split inequality is invoked; coarser coefficients only feed the
     constant base value on each cell and are unconstrained.
     """
+    _check_level(n + 1)
     rhs = _step_rhs(region, coeffs, n, cfg)
     lhs = weighted_norm_sq(region, coeffs, n + 1, cfg) - weighted_norm_sq(
         region, coeffs, n, cfg
@@ -347,6 +356,7 @@ def telescope_check(
         k = 0
     if coeffs.max_level() > k:
         raise InputError(f"coefficients extend past level {k}")
+    _check_level(k)
     # the level-n norm only sees coefficients on levels ≤ n, so each level is
     # computed once and serves as the new side of step n−1 and the old of step n
     norms = [weighted_norm_sq(region, coeffs, 0, cfg)]

@@ -12,7 +12,13 @@ from hypothesis import settings
 
 from haar_riesz import CoefficientMap, DyadicInterval, StepSet
 from haar_riesz.errors import ConvergenceError, InputError
-from haar_riesz.gram import _JACOBI_MAX_SWEEPS, _JACOBI_REL_TOL, _jacobi
+from haar_riesz.gram import (
+    _JACOBI_MAX_SWEEPS,
+    _JACOBI_REL_TOL,
+    GramMatrix,
+    _jacobi,
+    psd_certificate,
+)
 from haar_riesz.haar import PiecewiseConstant, haar_function
 from haar_riesz.weights import GridReport, WeightConfig, mass_cap, weight_mass
 
@@ -103,6 +109,13 @@ def psd_by_principal_minors(rows) -> bool:
         for k in range(1, n + 1)
         for subset in combinations(range(n), k)
     )
+
+
+def ldlt_psd(rows) -> bool:
+    """The library's exact PSD verdict on a dense symmetric rational matrix:
+    its store, built by ``GramMatrix.from_entries``, through the sparse LDLᵀ
+    of ``psd_certificate`` at shift 0."""
+    return psd_certificate(GramMatrix.from_entries(rows), 0, [0] * len(rows))
 
 
 def dense_exact_psd(rows) -> bool:

@@ -37,7 +37,7 @@ from haar_riesz import (
     weight_mass_unclipped,
     weight_profile,
 )
-from haar_riesz.gram import _exact_psd
+from conftest import ldlt_psd
 from haar_riesz.search import SplitMix64
 
 
@@ -73,7 +73,7 @@ def certificate_corpus():
             rows = [[-x for x in gram.entries[i]] for i in range(gram.size)]
             for i in range(gram.size):
                 rows[i][i] += gram.entries[i][i] / p
-            bessel_ok.append(_exact_psd(rows))
+            bessel_ok.append(ldlt_psd(rows))
             if family:
                 pencil = build_gram(family, region, normalized=True)
                 _, high = eig_bounds(pencil)

@@ -184,6 +184,21 @@ def test_search_writes_result(tmp_path):
     StepSet.from_json_dict(payload["best_set"])  # parses back
 
 
+def test_search_honours_precision(capsys):
+    command = ["search", "--p", "3/4", "--depth", "3", "--resolution", "5"]
+    command += ["--iters", "4", "--seed", "7"]
+    assert run(command) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert run(command + ["--precision", "5"]) == 0
+    short = json.loads(capsys.readouterr().out)
+    assert short["best_ratio"] == format(float(full["best_ratio"]), ".5g")
+    assert [r for _, r in short["history"]] == [
+        format(float(r), ".5g") for _, r in full["history"]
+    ]
+    assert short["best_set"] == full["best_set"]
+    assert short["certificate_lower"] == full["certificate_lower"]
+
+
 def test_induction_check(two_thirds_file, tmp_path, capsys):
     coeffs = CoefficientMap(
         {DyadicInterval(0, 0): F(1), DyadicInterval(1, 0): F(-2), DyadicInterval(2, 1): F(1, 2)}
@@ -237,6 +252,25 @@ class TestExitCodes:
     def test_negative_n(self, capsys):
         assert run(["counterexample", "--n", "-3"]) == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["counterexample", "--n", "2"],
+            ["demo-perturbation", "--n", "3"],
+            ["search", "--p", "3/4", "--depth", "2", "--resolution", "3", "--iters", "1", "--seed", "1"],
+        ],
+    )
+    def test_negative_precision(self, capsys, command):
+        assert run(command + ["--precision", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: precision")
+
+    def test_negative_precision_on_gram(self, capsys, two_thirds_file):
+        command = ["gram", "--set", two_thirds_file, "--p", "1/2", "--depth", "2"]
+        assert run(command + ["--precision", "-1"]) == 2
+        assert "input error" in capsys.readouterr().err
+
 
 class TestResourceCaps:
     """Oversized inputs exit 2 before anything is allocated."""
@@ -271,6 +305,33 @@ class TestResourceCaps:
         assert _parse_p_list("7/10:9/10:1/10") == [F(7, 10), F(8, 10), F(9, 10)]
         assert _parse_p_list("1/2:1:1/3") == [F(1, 2), F(5, 6)]
         assert _parse_p_list("1:1/2:1/10") == []
+
+    def test_table_and_demo_caps(self, capsys, monkeypatch):
+        from haar_riesz import counterexample, gram
+
+        def reached(*args):
+            raise AssertionError("the work was started")
+
+        monkeypatch.setattr(counterexample, "zigzag", reached)
+        monkeypatch.setattr(gram, "Fraction", reached)
+        n = str(counterexample.MAX_TABLE_N + 1)
+        assert run(["counterexample", "--n", n]) == 2
+        assert run(["demo-perturbation", "--n", str(gram.MAX_VECTORS + 1)]) == 2
+        assert capsys.readouterr().err.count("input error") == 2
+
+    def test_induction_levels_cap(self, capsys, monkeypatch, two_thirds_file, tmp_path):
+        from haar_riesz import weights
+
+        def reached(*args):
+            raise AssertionError("a level was swept")
+
+        monkeypatch.setattr(weights, "weighted_norm_sq", reached)
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps(CoefficientMap({DyadicInterval(0, 0): F(1)}).to_json_dict()))
+        args = ["induction-check", "--set", two_thirds_file, "--coeffs", str(coeffs)]
+        args += ["--p", "3/4", "--levels", str(weights.MAX_LEVEL + 1)]
+        assert run(args) == 2
+        assert "level" in capsys.readouterr().err
 
     def test_search_resolution_cap(self):
         from haar_riesz.search import MAX_RESOLUTION

@@ -14,7 +14,8 @@ from haar_riesz import (
     zigzag,
     zigzag_coefficients,
 )
-from haar_riesz.counterexample import TWO_THIRDS_SET
+from haar_riesz import counterexample
+from haar_riesz.counterexample import MAX_TABLE_N, TWO_THIRDS_SET
 from haar_riesz.haar import halves, restricted_norm_sq
 
 
@@ -81,6 +82,17 @@ class TestTable:
         rows = counterexample_table(8)
         ratios = [row.ratio for row in rows]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
+
+    def test_cap_checked_before_the_table(self, monkeypatch):
+        def reached(*args):
+            raise AssertionError("the table was started")
+
+        monkeypatch.setattr(counterexample, "zigzag", reached)
+        for n in (MAX_TABLE_N + 1, 10**9):
+            with pytest.raises(InputError):
+                counterexample_table(n)
+        with pytest.raises(AssertionError):  # the cap itself is accepted
+            counterexample_table(MAX_TABLE_N)
 
 
 class TestPartialSumStructure:

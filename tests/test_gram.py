@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 
@@ -30,11 +31,12 @@ from haar_riesz import (
 )
 from haar_riesz.counterexample import TWO_THIRDS_SET, zigzag_coefficients
 from haar_riesz import gram as gram_module
-from haar_riesz.gram import _exact_psd, _extreme_eigenvalues, _jacobi
+from haar_riesz.gram import _extreme_eigenvalues, _jacobi
 
 from conftest import (
     dense_exact_psd,
     dyadic_intervals,
+    ldlt_psd,
     leibniz_det,
     matrix_components,
     psd_by_principal_minors,
@@ -82,15 +84,29 @@ def dyadic_pencils(gram, p):
     """Riesz and Bessel pencils of a dyadic Gram matrix on both sides of the
     spectral ends, at the theorem's constants, and at the shift 1 where the
     pencil's diagonal vanishes."""
-    low, high = eig_bounds(GramMatrix(gram.entries, gram.labels, normalized=True))
+    low, high = eig_bounds(GramMatrix.from_entries(gram.entries, gram.labels, normalized=True))
     eps = F(1, 10**6)
     shifts = [riesz_constant(p) if p > F(2, 3) else F(1, 100), near(low, -eps), near(low, eps), F(1)]
     bounds = [1 / p, near(high, -eps), near(high, eps), F(1)]
     return [riesz_rows(gram, s) for s in shifts] + [bessel_rows(gram, b) for b in bounds]
 
 
+@st.composite
+def symmetric_matrices(draw, max_size: int = 6):
+    """Symmetric rational matrices, about half of their entries 0."""
+    n = draw(st.integers(0, max_size))
+    value = st.one_of(
+        st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=64)
+    )
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = draw(value)
+    return tuple(map(tuple, rows))
+
+
 def identity_gram(n):
-    return GramMatrix(
+    return GramMatrix.from_entries(
         tuple(tuple(F(1) if i == j else F(0) for j in range(n)) for i in range(n))
     )
 
@@ -121,7 +137,7 @@ class TestBuildGram:
 
     def test_symmetry_validation(self):
         with pytest.raises(InputError):
-            GramMatrix(((F(1), F(2)), (F(3), F(1))))
+            GramMatrix.from_entries(((F(1), F(2)), (F(3), F(1))))
 
     def test_json_and_csv(self):
         gram = build_gram(PAIR, TWO_THIRDS_SET)
@@ -213,25 +229,77 @@ class TestGramStore:
     )
     @settings(max_examples=60)
     def test_store_is_built_once(self, region, depth, p, shift):
+        # build_gram writes the store; the certificates copy it and never
+        # build the dense entries
         gram = build_gram(enumerate_family(depth, region, p), region)
         store = gram.lower
-        assert gram.lower is store
+        riesz = psd_certificate(gram, shift, gram.diagonal)
+        bessel = bessel_certificate(gram, p)
+        assert "entries" not in vars(gram)
         assert store == tuple(
             tuple((j, x) for j, x in enumerate(row[:i]) if x)
             for i, row in enumerate(gram.entries)
         )
-        riesz = psd_certificate(gram, shift, gram.diagonal)
-        bessel = bessel_certificate(gram, p)
-        assert gram.lower is store
-        # the verdicts equal the dense-row route
-        assert riesz is _exact_psd(riesz_rows(gram, shift))
-        dense_bessel = [[-x for x in row] for row in gram.entries]
-        for i in range(gram.size):
-            dense_bessel[i][i] += gram.entries[i][i] / p
-        assert bessel is _exact_psd(dense_bessel)
+        # the verdicts equal those on a store built from the dense rows
+        assert riesz is ldlt_psd(riesz_rows(gram, shift))
+        assert bessel is ldlt_psd(bessel_rows(gram, 1 / p))
         # and a second run on the same store gives the same answers
         assert psd_certificate(gram, shift, gram.diagonal) is riesz
         assert bessel_certificate(gram, p) is bessel
+
+    @given(symmetric_matrices())
+    @settings(max_examples=80)
+    def test_from_entries_round_trip(self, rows):
+        gram = GramMatrix.from_entries(rows)
+        assert gram.entries == rows
+        assert all(type(x) is F for row in gram.entries for x in row)
+        assert gram.diagonal == tuple(row[i] for i, row in enumerate(rows))
+        for i, row in enumerate(gram.lower):
+            columns = [j for j, _ in row]
+            assert columns == sorted(set(columns)) and all(j < i for j in columns)
+            assert all(x and x == rows[i][j] for j, x in row)
+        assert GramMatrix.from_entries(gram.entries) == gram
+
+    def test_from_entries_errors(self):
+        with pytest.raises(InputError, match=r"^Gram matrix must be square$"):
+            GramMatrix.from_entries(((F(1), F(0)),))
+        with pytest.raises(InputError, match=r"^Gram matrix not symmetric at \(2, 0\)$"):
+            GramMatrix.from_entries(((1, 0, 5), (0, 1, 0), (4, 0, 1)))
+        with pytest.raises(InputError, match="label count"):
+            GramMatrix.from_entries(((1,),), labels=PAIR)
+
+    @given(
+        step_sets(denominators=(3, 7, 8, 12, 64)),
+        st.lists(dyadic_intervals(max_level=6), max_size=12),
+        st.booleans(),
+    )
+    @settings(max_examples=60)
+    def test_build_gram_equals_from_entries(self, region, family, normalized):
+        # arbitrary order, repeats and non-admissible members included
+        normalized = normalized and all(restricted_norm_sq(i, region) for i in family)
+        gram = build_gram(family, region, normalized=normalized)
+        twin = GramMatrix.from_entries(gram.entries, gram.labels, normalized)
+        assert twin == gram
+        assert hash(twin) == hash(gram)
+
+    def test_deep_family_stays_sparse(self):
+        # depth 10: the store has O(n·depth) entries, where a dense matrix
+        # of Fractions took about 110 MiB
+        region = random_stepset(12, 0.7, derive_seed(0xD10, 0))
+        family = enumerate_family(10, region, F(1, 2))
+        assert len(family) >= 1500
+        tracemalloc.start()
+        try:
+            gram = build_gram(family, region)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        riesz = [psd_certificate(gram, c, gram.diagonal) for c in (F(0), F(1, 64))]
+        bessel = [bessel_certificate(gram, p) for p in (F(1, 2), F(9, 10))]
+        assert (riesz, bessel) == ([True, False], [True, False])
+        assert gram.as_float().shape == (len(family), len(family))
+        assert "entries" not in vars(gram)
 
 
 class TestEigBounds:
@@ -248,7 +316,7 @@ class TestEigBounds:
         assert abs(high - expected_high) < 1e-10
 
     def test_diagonal(self):
-        gram = GramMatrix(
+        gram = GramMatrix.from_entries(
             tuple(
                 tuple(F(d) if i == j else F(0) for j, d in enumerate((3, -2, 7)))
                 for i, d in enumerate((3, -2, 7))
@@ -258,7 +326,7 @@ class TestEigBounds:
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            eig_bounds(GramMatrix(()))
+            eig_bounds(GramMatrix.from_entries(()))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 30])
     def test_against_lapack_oracle(self, n):
@@ -479,13 +547,13 @@ class TestPsdCertificate:
 
     def test_zero_diagonal_block(self):
         # [[0, 1], [1, 0]] is indefinite: zero diagonal with surviving off-diagonal
-        assert not _exact_psd([[F(0), F(1)], [F(1), F(0)]])
-        assert _exact_psd([[F(0), F(0)], [F(0), F(0)]])
+        assert not ldlt_psd([[F(0), F(1)], [F(1), F(0)]])
+        assert ldlt_psd([[F(0), F(0)], [F(0), F(0)]])
 
     def test_fraction_and_gmpy_paths_agree(self):
         """The exact PSD verdict does not depend on how the arithmetic is done.
 
-        This once compared the Fraction and gmpy2 arithmetic of ``_exact_psd``;
+        This once compared the Fraction and gmpy2 arithmetic of the exact LDLᵀ;
         the gmpy2 route is gone, so the one remaining LDLᵀ route is now checked
         against an exact oracle that shares no code with it: every principal
         minor ≥ 0, each a Leibniz determinant over Fraction.  The corpus keeps
@@ -522,7 +590,7 @@ class TestPsdCertificate:
         verdicts = []
         for m in corpus:
             verdict = psd_by_principal_minors(m)
-            assert _exact_psd(m) is verdict, m
+            assert ldlt_psd(m) is verdict, m
             verdicts.append(verdict)
         assert set(verdicts) == {True, False}
         assert any(v and leibniz_det(m) == 0 for m, v in zip(corpus, verdicts))
@@ -543,7 +611,7 @@ class TestPsdCertificate:
         )
         gram = build_gram([family[i] for i in sorted(chosen)], region)
         for rows in dyadic_pencils(gram, p):
-            assert _exact_psd(rows) is psd_by_principal_minors(rows), rows
+            assert ldlt_psd(rows) is psd_by_principal_minors(rows), rows
 
     def test_matches_dense_reference(self):
         """Pencils up to n ≈ 60 against the dense largest-pivot LDLᵀ."""
@@ -569,7 +637,7 @@ class TestPsdCertificate:
         for gram, p in grams:
             for rows in dyadic_pencils(gram, p):
                 verdict = dense_exact_psd(rows)
-                assert _exact_psd(rows) is verdict
+                assert ldlt_psd(rows) is verdict
                 verdicts.append((verdict, not any(any(row) for row in rows)))
         assert max(gram.size for gram, _ in grams) >= 50
         assert {v for v, _ in verdicts} == {True, False}
@@ -577,21 +645,21 @@ class TestPsdCertificate:
 
     def test_elimination_rules(self):
         # one small matrix per rule of the LDLᵀ, verdicts by hand
-        assert not _exact_psd([[F(-1)]])  # negative pivot
-        assert not _exact_psd([[F(1), F(0)], [F(0), F(-1)]])
+        assert not ldlt_psd([[F(-1)]])  # negative pivot
+        assert not ldlt_psd([[F(1), F(0)], [F(0), F(-1)]])
         # zero pivot with a surviving entry: [[a, m], [m, 0]] has det −m²
-        assert not _exact_psd([[F(1), F(1)], [F(1), F(0)]])
+        assert not ldlt_psd([[F(1), F(1)], [F(1), F(0)]])
         # eigenvalues 3 and −1; only the pivot's diagonal update shows it
-        assert not _exact_psd([[F(1), F(2)], [F(2), F(1)]])
+        assert not ldlt_psd([[F(1), F(2)], [F(2), F(1)]])
         # eliminating the last row cancels the (1, 0) entry to zero and
         # leaves a zero pivot with an empty row: PSD (rank 2)
-        assert _exact_psd([[F(2), F(1), F(1)], [F(1), F(1), F(1)], [F(1), F(1), F(1)]])
+        assert ldlt_psd([[F(2), F(1), F(1)], [F(1), F(1), F(1)], [F(1), F(1), F(1)]])
         # the same with the (1, 0) entry not cancelled: [[1, −1], [−1, 0]]
         # remains, indefinite
-        assert not _exact_psd([[F(2), F(0), F(1)], [F(0), F(1), F(1)], [F(1), F(1), F(1)]])
+        assert not ldlt_psd([[F(2), F(0), F(1)], [F(0), F(1), F(1)], [F(1), F(1), F(1)]])
         # the first row decides: eliminating it first would miss the update
         # that the later rows make to it
-        assert not _exact_psd([[F(1), F(1), F(1)], [F(1), F(1), F(0)], [F(1), F(0), F(1)]])
+        assert not ldlt_psd([[F(1), F(1), F(1)], [F(1), F(1), F(0)], [F(1), F(0), F(1)]])
 
     @given(
         st.one_of(
@@ -619,8 +687,8 @@ class TestPsdCertificate:
         for rows in (riesz_rows(gram, shift), bessel_rows(gram, 1 + shift)):
             permuted = [[rows[a][b] for b in perm] for a in perm]
             verdict = dense_exact_psd(rows)
-            assert _exact_psd(rows) is verdict
-            assert _exact_psd(permuted) is verdict
+            assert ldlt_psd(rows) is verdict
+            assert ldlt_psd(permuted) is verdict
 
     @given(
         st.integers(1, 6).flatmap(
@@ -647,8 +715,8 @@ class TestPsdCertificate:
         ]
         permuted = [[rows[a][c] for c in perm] for a in perm]
         verdict = dense_exact_psd(rows)
-        assert _exact_psd(rows) is verdict
-        assert _exact_psd(permuted) is verdict
+        assert ldlt_psd(rows) is verdict
+        assert ldlt_psd(permuted) is verdict
 
     @given(
         step_sets(),
@@ -786,4 +854,15 @@ class TestPerturbationDemo:
     def test_too_small(self):
         with pytest.raises(InputError):
             perturbation_demo(1)
+
+    def test_cap_checked_before_the_store(self, monkeypatch):
+        def reached(*args):
+            raise AssertionError("the store was started")
+
+        monkeypatch.setattr(gram_module, "Fraction", reached)
+        for n in (gram_module.MAX_VECTORS + 1, 10**9):
+            with pytest.raises(InputError):
+                perturbation_demo(n)
+        with pytest.raises(AssertionError):  # the cap itself is accepted
+            perturbation_demo(gram_module.MAX_VECTORS)
 

@@ -288,7 +288,7 @@ def tree_gram(tree, p):
             else:
                 row.append(F(0))
         rows.append(tuple(row))
-    return GramMatrix(tuple(rows), tuple(members))
+    return GramMatrix.from_entries(rows, members)
 
 
 def assert_tree_matches_reference(tree, p):

@@ -35,7 +35,7 @@ from haar_riesz.search import SplitMix64, derive_seed, random_stepset
 import conftest
 from conftest import fraction_split_failure, reference_verify_grid, step_sets
 from haar_riesz import weights
-from haar_riesz.weights import MAX_GRID, _split_failure
+from haar_riesz.weights import MAX_GRID, MAX_LEVEL, _split_failure
 
 TWO_THIRDS = StepSet(((0, F(2, 3)),))
 CFG34 = WeightConfig(F(3, 4))
@@ -524,3 +524,46 @@ class TestGridCap:
             verify_grid(CFG34, 10**12)
         with pytest.raises(_Reached):  # the cap itself is accepted
             verify_grid(CFG34, MAX_GRID)
+
+
+class TestLevelCap:
+    """Levels past MAX_LEVEL are refused before any cell is swept."""
+
+    @pytest.fixture
+    def unreachable(self, monkeypatch):
+        for name in ("weight_mass", "_partial_sum_values", "_step_rhs", "weighted_norm_sq"):
+            monkeypatch.setattr(weights, name, _fail_if_reached)
+
+    def test_weight_profile(self, unreachable):
+        for n in (MAX_LEVEL + 1, 10**9):
+            with pytest.raises(InputError):
+                weight_profile(TWO_THIRDS, n, CFG34)
+        with pytest.raises(_Reached):  # the cap itself is accepted
+            weight_profile(TWO_THIRDS, MAX_LEVEL, CFG34)
+
+    def test_weighted_norm_sq(self, monkeypatch):
+        monkeypatch.setattr(weights, "_partial_sum_values", _fail_if_reached)
+        coeffs = CoefficientMap({DyadicInterval(0, 0): F(1)})
+        for level in (MAX_LEVEL + 1, 10**9):
+            with pytest.raises(InputError):
+                weighted_norm_sq(TWO_THIRDS, coeffs, level, CFG34)
+        with pytest.raises(_Reached):
+            weighted_norm_sq(TWO_THIRDS, coeffs, MAX_LEVEL, CFG34)
+
+    def test_induction_step_check(self, unreachable):
+        coeffs = CoefficientMap({DyadicInterval(0, 0): F(1)})
+        for n in (MAX_LEVEL, 10**9):  # step n reaches level n + 1
+            with pytest.raises(InputError):
+                induction_step_check(TWO_THIRDS, coeffs, n, CFG34)
+        with pytest.raises(_Reached):
+            induction_step_check(TWO_THIRDS, coeffs, MAX_LEVEL - 1, CFG34)
+
+    def test_telescope_check(self, unreachable):
+        root = CoefficientMap({DyadicInterval(0, 0): F(1)})
+        deep = CoefficientMap({DyadicInterval(MAX_LEVEL + 1, 0): F(1)})
+        with pytest.raises(InputError):
+            telescope_check(TWO_THIRDS, root, CFG34, top_level=MAX_LEVEL + 1)
+        with pytest.raises(InputError):
+            telescope_check(TWO_THIRDS, deep, CFG34)  # top level from the coefficients
+        with pytest.raises(_Reached):
+            telescope_check(TWO_THIRDS, root, CFG34, top_level=MAX_LEVEL)
