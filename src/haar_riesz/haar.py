@@ -130,8 +130,9 @@ class PiecewiseConstant:
 
 def indicator(region: StepSet) -> PiecewiseConstant:
     """The indicator function of a step set, as an exact step function."""
+    ends = region.ends
     return PiecewiseConstant.from_segments(
-        (left, right, Fraction(1)) for left, right in region.intervals
+        (left, right, Fraction(1)) for left, right in zip(ends[0::2], ends[1::2])
     )
 
 

@@ -8,7 +8,8 @@ an exact `Fraction`; nothing in this module rounds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple, Union
 
@@ -62,9 +63,9 @@ class DyadicInterval:
         return f"[{self.left}, {self.right})"
 
 
-def _canonical_intervals(
-    raw: Iterable[Sequence[RationalLike]],
-) -> Tuple[Tuple[Fraction, Fraction], ...]:
+def _canonical_ends(raw: Iterable[Sequence[RationalLike]]) -> Tuple[Fraction, ...]:
+    """The flat ends (a₀, b₀, a₁, b₁, …) of the union of the raw pairs:
+    sorted, with overlapping or touching pairs merged."""
     pairs = []
     for pair in raw:
         left, right = _as_fraction(pair[0]), _as_fraction(pair[1])
@@ -74,14 +75,14 @@ def _canonical_intervals(
             )
         pairs.append((left, right))
     pairs.sort()
-    merged: list[list[Fraction]] = []
+    merged: list[Fraction] = []
     for left, right in pairs:
-        if merged and left <= merged[-1][1]:
-            if right > merged[-1][1]:
-                merged[-1][1] = right
+        if merged and left <= merged[-1]:
+            if right > merged[-1]:
+                merged[-1] = right
         else:
-            merged.append([left, right])
-    return tuple((left, right) for left, right in merged)
+            merged += (left, right)
+    return tuple(merged)
 
 
 def cell_runs(cells: Sequence[bool]) -> list[Tuple[int, int]]:
@@ -107,19 +108,54 @@ def cell_runs(cells: Sequence[bool]) -> list[Tuple[int, int]]:
 _ENDPOINTS: dict[int, dict[int, Fraction]] = {}
 
 
-@dataclass(frozen=True)
 class StepSet:
     """Canonical finite union of half-open rational intervals inside [0,1).
 
-    Construction eagerly canonicalizes: intervals are sorted, overlapping or
-    touching inputs are merged, so equality of indicator functions is
-    structural equality of the tuples.
+    The set is one flat tuple ``ends`` = (a₀, b₀, a₁, b₁, …) of strictly
+    increasing Fractions, the intervals being [a_k, b_k).  Construction from
+    pairs eagerly canonicalizes: intervals are sorted, overlapping or touching
+    inputs are merged, so equality of indicator functions is structural
+    equality of the tuples.  ``intervals`` builds the pairs on request.
+    Instances are immutable.
     """
 
-    intervals: Tuple[Tuple[Fraction, Fraction], ...] = ()
+    __slots__ = ("ends",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "intervals", _canonical_intervals(self.intervals))
+    def __init__(self, intervals: Iterable[Sequence[RationalLike]] = ()):
+        object.__setattr__(self, "ends", _canonical_ends(intervals))
+
+    @classmethod
+    def _of_ends(cls, ends: Tuple[Fraction, ...]) -> "StepSet":
+        """The set of flat ends that are already canonical, kept as given."""
+        region = object.__new__(cls)
+        object.__setattr__(region, "ends", ends)
+        return region
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return StepSet._of_ends, (self.ends,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ends == other.ends
+
+    def __hash__(self) -> int:
+        return hash(self.ends)
+
+    def __repr__(self) -> str:
+        return f"StepSet(intervals={self.intervals!r})"
+
+    @property
+    def intervals(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
+        """The intervals as (left, right) pairs, in increasing order."""
+        ends = self.ends
+        return tuple(zip(ends[0::2], ends[1::2]))
 
     @classmethod
     def from_cells(cls, cells: Sequence[bool]) -> "StepSet":
@@ -131,36 +167,40 @@ class StepSet:
         """The union of [a/scale, b/scale) over the integer pairs (a, b).
 
         The endpoints come from a table shared by every set of this scale,
-        so a set keeps one tuple per interval and no Fractions of its own.
+        so a set keeps one tuple of ends and no Fractions of its own.  Runs
+        whose flattened ends strictly increase, as :func:`cell_runs` gives
+        them, are canonical already and kept as they are; any other runs are
+        sorted and merged.
         """
+        flat = [k for a, b in runs for k in (a, b)]
         table = _ENDPOINTS.setdefault(scale, {})
-        for run in runs:
-            for k in run:
-                if k not in table:
-                    if not 0 <= k <= scale:
-                        raise InputError(f"endpoint {k}/{scale} lies outside [0, 1]")
-                    table[k] = Fraction(k, scale)
-        return cls(tuple((table[a], table[b]) for a, b in runs))
+        for k in flat:
+            if k not in table:
+                if not 0 <= k <= scale:
+                    raise InputError(f"endpoint {k}/{scale} lies outside [0, 1]")
+                table[k] = Fraction(k, scale)
+        ends = tuple(map(table.__getitem__, flat))
+        if all(a < b for a, b in zip(flat, flat[1:])):
+            return cls._of_ends(ends)
+        return cls(zip(ends[0::2], ends[1::2]))
 
     @property
     def measure(self) -> Fraction:
-        return sum((right - left for left, right in self.intervals), Fraction(0))
+        ends = self.ends
+        return sum(ends[1::2], Fraction(0)) - sum(ends[0::2], Fraction(0))
 
     def contains_point(self, x: RationalLike) -> bool:
-        x = _as_fraction(x)
-        return any(left <= x < right for left, right in self.intervals)
+        # x lies in [a_k, b_k) exactly when an odd number of ends are <= x
+        return bisect_right(self.ends, _as_fraction(x)) % 2 == 1
 
     def complement(self) -> "StepSet":
         """The normalized complement within [0,1)."""
-        gaps = []
-        cursor = Fraction(0)
-        for left, right in self.intervals:
-            if cursor < left:
-                gaps.append((cursor, left))
-            cursor = right
-        if cursor < 1:
-            gaps.append((cursor, Fraction(1)))
-        return StepSet(tuple(gaps))
+        ends = (Fraction(0),) + self.ends + (Fraction(1),)
+        if ends[0] == ends[1]:
+            ends = ends[2:]
+        if ends and ends[-2] == ends[-1]:
+            ends = ends[:-2]
+        return StepSet._of_ends(ends)
 
     def to_json_dict(self) -> dict:
         return {
@@ -179,7 +219,7 @@ class StepSet:
         return cls(tuple((pair[0], pair[1]) for pair in data["intervals"]))
 
     def __str__(self) -> str:
-        if not self.intervals:
+        if not self.ends:
             return "{}"
         return " ∪ ".join(f"[{l}, {r})" for l, r in self.intervals)
 
@@ -196,33 +236,36 @@ def normalize(raw: Iterable[Sequence[RationalLike]]) -> StepSet:
 def intersect_measure(region: StepSet, interval: DyadicInterval) -> Fraction:
     """Exact Lebesgue measure of region ∩ interval."""
     lo, hi = interval.left, interval.right
+    ends = region.ends
     total = Fraction(0)
-    for left, right in region.intervals:
-        if right <= lo:
-            continue
+    # the first interval whose right end lies past lo: every earlier one
+    # ends at or before lo
+    for k in range(bisect_right(ends, lo) & ~1, len(ends), 2):
+        left = ends[k]
         if left >= hi:
             break
-        total += min(right, hi) - max(left, lo)
+        total += min(ends[k + 1], hi) - max(left, lo)
     return total
 
 
 def measures_below(region: StepSet, points: Sequence[Fraction]) -> list[Fraction]:
     """Exact |E ∩ [0, x)| at each point x of an ascending sequence.
 
-    One merge sweep of the region's intervals against the points, so the cost
-    is O(len(points) + len(region.intervals)); the measure of any half-open
-    interval between two of the points is the difference of their values.
+    One merge sweep of the region's ends against the points, so the cost is
+    O(len(points) + len(region.ends)); the measure of any half-open interval
+    between two of the points is the difference of their values.
     """
-    intervals = region.intervals
+    ends = region.ends
+    n = len(ends)
     out = []
     covered = Fraction(0)  # measure of the region's intervals ending at or before x
-    k = 0
+    k = 0  # index of the left end of the first interval not yet covered
     for x in points:
-        while k < len(intervals) and intervals[k][1] <= x:
-            covered += intervals[k][1] - intervals[k][0]
-            k += 1
-        if k < len(intervals) and intervals[k][0] < x:
-            out.append(covered + (x - intervals[k][0]))
+        while k < n and ends[k + 1] <= x:
+            covered += ends[k + 1] - ends[k]
+            k += 2
+        if k < n and ends[k] < x:
+            out.append(covered + (x - ends[k]))
         else:
             out.append(covered)
     return out

@@ -14,14 +14,23 @@ member that leaves splits a block).  No candidate builds a Fraction Gram
 matrix; ties on the ratio are broken on the integer runs of the cells, and a
 StepSet is built only for the final winner or for a candidate that fails a
 spectral check.  :func:`pencil_extremes` is the reference the tree scores
-equal.  The exact PSD certificate is run once, on the winning set, to
-produce a rigorously certified lower bracket.  All randomness flows through
-an explicit splitmix64 generator so results are reproducible bit for bit
-from the seed.
+equal.
+
+The winner's certified lower bracket is taken on its count tree too: the
+exact pencil of its integer counts is G and D scaled alike by 2^unit, so
+every exact PSD verdict is the one on :func:`build_gram`'s Fractions.  The
+verdicts are monotone in the constant, and the search already knows the
+winner's float λ_min, so the exact checks start at its grid point and
+usually take two (that point and the next); the float only picks where to
+look and never decides.  :func:`certified_lower_bound`, the bisection of
+[0, 2] from any step set, is the reference this bracket equals bit for bit.
+All randomness flows through an explicit splitmix64 generator so results are
+reproducible bit for bit from the seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -31,6 +40,7 @@ import numpy as np
 from .constants import riesz_constant
 from .errors import ConsistencyError, InputError
 from .gram import (
+    GramMatrix,
     _chain_store,
     _extreme_eigenvalues,
     build_gram,
@@ -43,6 +53,7 @@ from .measure import StepSet, cell_runs
 
 _MASK64 = (1 << 64) - 1
 _FLOAT_TOL = 1e-8  # slack granted to the float eigensolver against exact bounds
+_BRACKET_WIDTH = Fraction(1, 1 << 20)  # width of a search winner's certified bracket
 
 # iteration-varying inclusion biases used when the config pins none
 _BIAS_CYCLE = (0.35, 0.5, 0.65, 0.8, 0.9)
@@ -147,7 +158,7 @@ class SearchConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchResult:
     best_set: StepSet
     best_ratio: float
@@ -204,7 +215,7 @@ def certified_lower_bound(
     region: StepSet,
     p: Fraction,
     depth: int,
-    width: Fraction = Fraction(1, 1 << 20),
+    width: Fraction = _BRACKET_WIDTH,
 ) -> Fraction:
     """Largest certified constant, to within ``width``, by exact PSD bisection.
 
@@ -212,20 +223,89 @@ def certified_lower_bound(
     lo + width.  The bracket starts at [0, 2]: a Gram matrix is always PSD,
     and the normalized pencil has unit diagonal so its λ_min is at most 1.
     Empty family: vacuously 1.
+
+    This is the reference route, from any step set through
+    :func:`enumerate_family` and :func:`build_gram`; a search brackets its
+    winner on its count tree and gets this value bit for bit.
     """
+    step, top = _bracket_grid(width)
     family = enumerate_family(depth, region, p)
     if not family:
         return Fraction(1)
     gram = build_gram(family, region, normalized=False)
+    return step * _bisect(_certified_at(gram, step), 0, top)
+
+
+def _bracket_grid(width: Fraction) -> Tuple[Fraction, int]:
+    """(step, top): bisecting [0, 2] until the bracket is at most ``width``
+    wide visits only multiples k·step, 0 ≤ k ≤ top, of step = 2/top."""
+    if not width > 0:
+        raise InputError(f"bracket width must be > 0, got {width}")
+    top = 1
+    while Fraction(2, top) > width:
+        top *= 2
+    return Fraction(2, top), top
+
+
+def _certified_at(gram: GramMatrix, step: Fraction):
+    """k ↦ the exact certificate G − k·step·D ⪰ 0, D the diagonal of G.
+
+    It is monotone: true at k implies true below k, since D ⪰ 0.
+    """
     diag = gram.diagonal
-    lo, hi = Fraction(0), Fraction(2)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if psd_certificate(gram, mid, diag):
+    return lambda k: psd_certificate(gram, k * step, diag)
+
+
+def _bisect(holds, lo: int, hi: int) -> int:
+    """The largest k in [lo, hi) with holds(k), for a monotone ``holds``
+    taken as true at lo and false at hi; neither end is asked."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def _gallop(holds, top: int, start: int) -> Tuple[int, int]:
+    """(lo, hi) around the last k with holds(k) for a monotone ``holds``,
+    holds(lo) and not holds(hi), found from ``start`` in [0, top) by steps
+    that double; 0 counts as true and top as false, neither asked.
+
+    With the answer at start, two checks: start and start + 1.
+    """
+    if start == 0 or holds(start):
+        lo, step = start, 1
+        while lo + step < top and holds(lo + step):
+            lo, step = lo + step, 2 * step
+        return lo, min(lo + step, top)
+    hi, step = start, 1
+    while hi - step > 0 and not holds(hi - step):
+        hi, step = hi - step, 2 * step
+    return max(hi - step, 0), hi
+
+
+def _tree_bracket(tree: "_CountTree", p: Fraction, guess: float) -> Fraction:
+    """:func:`certified_lower_bound` of the tree's set at the tree's depth,
+    bit for bit, on the exact pencil of its integer counts.
+
+    Masses and slopes in units of 2^−unit scale G and D alike by 2^unit,
+    which leaves every verdict G − cD ⪰ 0 unchanged, and the verdicts are
+    monotone in c, so any start finds the bisection's answer.  ``guess``, the
+    float λ_min, only picks the start ⌊guess/step⌋; a non-finite guess
+    bisects from [0, 2].
+    """
+    family, (diagonal, lower) = tree.store(p)
+    if not family:
+        return Fraction(1)
+    step, top = _bracket_grid(_BRACKET_WIDTH)
+    holds = _certified_at(GramMatrix(diagonal, lower), step)
+    lo, hi = 0, top
+    if math.isfinite(guess):
+        start = min(max(math.floor(Fraction(guess) / step), 0), top - 1)
+        lo, hi = _gallop(holds, top, start)
+    return step * _bisect(holds, lo, hi)
 
 
 def _floor_for(p: Fraction) -> Optional[float]:
@@ -294,22 +374,28 @@ class _CountTree:
             if meets_density(counts[v], unit, level, p)
         ]
 
-    def pencil(self, p: Fraction) -> Tuple[List[int], np.ndarray]:
-        """The admissible family and the float view of its normalized Gram
-        matrix, entry for entry the bits of ``build_gram(..., True).as_float()``.
-
-        The counts times 2^−unit, exact in float64, go through the
-        ancestor-chain walk of :func:`build_gram` (:func:`gram._chain_store`)
-        and the fill of :meth:`GramMatrix.as_float` (:func:`float_view`).
-        """
+    def store(self, p: Fraction, step=1) -> Tuple[List[int], tuple]:
+        """The admissible family and its Gram store (diagonal, lower), written
+        by the ancestor-chain walk of :func:`build_gram`
+        (:func:`gram._chain_store`) from the masses and slopes in units of
+        ``step``: the counts times step.  With the default, integer counts:
+        the store of ``build_gram`` times 2^unit."""
         counts = self.counts
         family = self.family(p)
-        step = 2.0 ** -self.unit
-        diagonal, lower = _chain_store(
+        return family, _chain_store(
             family,
             [counts[v] * step for v in family],
             [(counts[2 * v + 1] - counts[2 * v]) * step for v in family],
         )
+
+    def pencil(self, p: Fraction) -> Tuple[List[int], np.ndarray]:
+        """The admissible family and the float view of its normalized Gram
+        matrix, entry for entry the bits of ``build_gram(..., True).as_float()``.
+
+        The store of the counts times 2^−unit, exact in float64, goes through
+        the fill of :meth:`GramMatrix.as_float` (:func:`float_view`).
+        """
+        family, (diagonal, lower) = self.store(p, 2.0 ** -self.unit)
         return family, float_view(diagonal, lower, normalized=True)
 
     def extremes(self, p: Fraction) -> Tuple[float, float, int]:
@@ -433,7 +519,8 @@ def search_extremal(cfg: SearchConfig) -> SearchResult:
     restart's fresh set competes for the best as the flips do, though
     ``history`` keeps one entry per iteration.  Every evaluated ratio is
     checked against the certified theorem floor.  The returned record
-    carries an exact certified bracket for the winning set.
+    carries an exact certified bracket for the winning set, equal to
+    :func:`certified_lower_bound` of it, taken on its count tree.
 
     The extremes of every pencil block solved are kept, keyed by the block's
     bytes, for the length of this call only, so a flip re-solves only the
@@ -443,10 +530,12 @@ def search_extremal(cfg: SearchConfig) -> SearchResult:
     ceiling = float(Fraction(1) / cfg.p) + _FLOAT_TOL
     run = _search_random if cfg.mode == "random" else _search_greedy
     (ratio, runs, size), history = run(cfg, floor, ceiling, {})
-    region = StepSet.from_runs(runs, 1 << cfg.cell_resolution)
-    certificate = certified_lower_bound(region, cfg.p, cfg.depth)
+    cells = [False] * (1 << cfg.cell_resolution)
+    for a, b in runs:
+        cells[a:b] = [True] * (b - a)
+    certificate = _tree_bracket(_CountTree(cells, cfg.depth), cfg.p, ratio)
     return SearchResult(
-        best_set=region,
+        best_set=StepSet.from_runs(runs, len(cells)),
         best_ratio=ratio,
         family_size=size,
         certificate_lower=certificate,

@@ -17,9 +17,10 @@ from haar_riesz.gram import (
     _JACOBI_REL_TOL,
     GramMatrix,
     _jacobi,
+    build_gram,
     psd_certificate,
 )
-from haar_riesz.haar import PiecewiseConstant, haar_function
+from haar_riesz.haar import PiecewiseConstant, enumerate_family, haar_function
 from haar_riesz.weights import GridReport, WeightConfig, mass_cap, weight_mass
 
 # Exact arithmetic makes example times vary with the drawn sizes, and the
@@ -178,6 +179,30 @@ def reference_extreme_eigenvalues(matrix):
         )
     diag = np.diag(work)
     return float(diag.min()), float(diag.max())
+
+
+def reference_certified_lower_bound(
+    region: StepSet, p: Fraction, depth: int, width: Fraction = Fraction(1, 1 << 20)
+) -> Fraction:
+    """Reference certified bracket: exact PSD bisection of [0, 2] on the
+    Fraction Gram matrix of the set's admissible family.
+
+    The library's earlier loop, kept here unchanged as a differential
+    reference for the bracket a search takes on its count tree.
+    """
+    family = enumerate_family(depth, region, p)
+    if not family:
+        return Fraction(1)
+    gram = build_gram(family, region, normalized=False)
+    diag = gram.diagonal
+    lo, hi = Fraction(0), Fraction(2)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if psd_certificate(gram, mid, diag):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def matrix_components(matrix):

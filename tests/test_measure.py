@@ -151,7 +151,7 @@ class TestFromCells:
             tracemalloc.stop()
         intervals = sum(len(region.intervals) for region in kept)
         assert intervals > 5000
-        assert size / intervals <= 80
+        assert size / intervals <= 24  # two shared ends: 16 B, and the set's share
 
     def test_endpoint_table_holds_only_points_of_the_unit_interval(self):
         with pytest.raises(InputError):
@@ -168,6 +168,84 @@ class TestFromCells:
         # other rationals are still converted
         ((a, b),) = StepSet((("1/3", 1),)).intervals
         assert (type(a), type(b)) == (F, F) and (a, b) == (F(1, 3), F(1))
+
+
+def integer_runs(region: StepSet, den: int) -> list:
+    """The region's intervals as integer pairs at the common denominator."""
+    return [(int(left * den), int(right * den)) for left, right in region.intervals]
+
+
+class TestFlatEnds:
+    """A set kept as one flat tuple of ends behaves as the set of its pairs."""
+
+    @given(step_sets(max_intervals=6), st.sampled_from([1, 2, 3]))
+    def test_flat_sets_equal_pair_built_sets(self, region, k):
+        den = 3 * 5 * 64 * k  # a common multiple of every denominator drawn
+        flat = StepSet.from_runs(integer_runs(region, den), den)
+        pairs = StepSet(tuple((F(a), F(b)) for a, b in region.intervals))
+        assert flat.ends == tuple(end for pair in pairs.intervals for end in pair)
+        assert flat == pairs and hash(flat) == hash(pairs)
+        assert pickle.loads(pickle.dumps(flat)) == pairs
+        assert pickle.dumps(flat) == pickle.dumps(pairs)
+        assert flat.to_json_dict() == pairs.to_json_dict()
+        assert str(flat) == str(pairs) and repr(flat) == repr(pairs)
+        assert flat.complement() == StepSet(
+            tuple(
+                (left, right)
+                for left, right in zip(
+                    (F(0),) + tuple(b for _, b in pairs.intervals),
+                    tuple(a for a, _ in pairs.intervals) + (F(1),),
+                )
+                if left < right
+            )
+        )
+        assert flat.complement().complement() == flat
+
+    @given(step_sets(max_intervals=6), st.integers(0, 960))
+    def test_readers_of_the_ends(self, region, k):
+        x = F(k, 960)
+        pairs = region.intervals
+        assert region.contains_point(x) == indicator_of_pairs(pairs, x)
+        assert region.measure == sum((b - a for a, b in pairs), F(0))
+        assert region.measure + region.complement().measure == 1
+
+    def test_immutable(self):
+        region = StepSet(((0, F(1, 2)),))
+        with pytest.raises(AttributeError):
+            region.ends = ()
+        with pytest.raises(AttributeError):
+            region.other = 1
+        assert not hasattr(region, "__dict__")
+
+    @pytest.mark.parametrize(
+        "runs,expected",
+        [
+            ([(0, 2), (2, 4)], [(0, 4)]),  # touching
+            ([(0, 3), (2, 5), (6, 7)], [(0, 5), (6, 7)]),  # overlapping
+            ([(4, 6), (0, 2)], [(0, 2), (4, 6)]),  # unsorted
+            ([(0, 5), (1, 2)], [(0, 5)]),  # nested
+        ],
+    )
+    def test_runs_out_of_order_take_the_canonical_path(self, monkeypatch, runs, expected):
+        calls = []
+        canonical = measure._canonical_ends
+
+        def counted(raw):
+            calls.append(raw)
+            return canonical(raw)
+
+        monkeypatch.setattr(measure, "_canonical_ends", counted)
+        region = StepSet.from_runs(runs, 8)
+        assert len(calls) == 1
+        assert region.intervals == tuple((F(a, 8), F(b, 8)) for a, b in expected)
+        calls.clear()
+        assert StepSet.from_runs(expected, 8) == region
+        assert calls == []  # strictly increasing runs are kept as they are
+
+    @pytest.mark.parametrize("runs", [[(2, 2)], [(3, 1)], [(0, 2), (5, 5)]])
+    def test_empty_or_reversed_runs_are_rejected(self, runs):
+        with pytest.raises(InputError, match="bad interval"):
+            StepSet.from_runs(runs, 8)
 
 
 class TestIntersectMeasure:

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -35,7 +37,7 @@ from haar_riesz.counterexample import TWO_THIRDS_SET
 from haar_riesz.haar import MAX_DEPTH, halves
 from haar_riesz.search import MAX_RESOLUTION, _CountTree, _draw_cells
 
-from conftest import matrix_components
+from conftest import matrix_components, reference_certified_lower_bound
 
 FULL = StepSet(((0, 1),))
 
@@ -145,6 +147,144 @@ class TestCertifiedLowerBound:
     def test_empty_family(self):
         assert certified_lower_bound(StepSet(()), F(1, 2), 3) == 1
 
+    @pytest.mark.parametrize("width", [F(0), F(-1, 1 << 20), -1, 0.0])
+    def test_width_must_be_positive(self, monkeypatch, width):
+        def unreachable(*args):
+            raise AssertionError("work done before the width was checked")
+
+        for name in ("enumerate_family", "build_gram", "psd_certificate"):
+            monkeypatch.setattr(search, name, unreachable)
+        with pytest.raises(InputError, match="width"):
+            certified_lower_bound(FULL, F(1, 2), 3, width)
+
+    @pytest.mark.parametrize("width", [F(1, 3), F(1, 1000), F(2), F(5), 0.01])
+    def test_any_width_bisects_as_before(self, width):
+        region = random_stepset(6, 0.75, 2024)
+        p = F(43, 64)
+        assert certified_lower_bound(
+            region, p, 4, width
+        ) == reference_certified_lower_bound(region, p, 4, width)
+
+
+def bracket_case(cells, depth, p, guess=None):
+    """The count-tree bracket of a cell set and the reference bisection's;
+    the guess defaults to the tree's float λ_min, as in a search."""
+    tree = _CountTree(list(cells), depth)
+    if guess is None:
+        guess = tree.extremes(p)[0]
+    reference = reference_certified_lower_bound(StepSet.from_cells(cells), p, depth)
+    return search._tree_bracket(tree, p, guess), reference
+
+
+BRACKET_PS = [F(1, 2), F(2, 3), F(43, 64), F(3, 4), F(1)]
+GRID_STEP = 2.0**-20
+
+
+class TestTreeBracket:
+    """The search's bracket on the count tree equals the reference bisection
+    on the set's Fraction Gram matrix, bit for bit, whatever its start."""
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda r: st.lists(st.booleans(), min_size=1 << r, max_size=1 << r)
+        ),
+        st.integers(0, 5),
+        st.sampled_from(BRACKET_PS),
+    )
+    @settings(max_examples=80)
+    def test_equals_the_reference_bisection(self, cells, depth, p):
+        # cells coarser than, as fine as and finer than level depth + 1
+        tree_value, reference = bracket_case(cells, depth, p)
+        assert tree_value == reference
+
+    @pytest.mark.parametrize("p", BRACKET_PS)
+    def test_empty_and_root_dense_families(self, p):
+        assert bracket_case([False] * 16, 4, p) == (1, 1)
+        assert bracket_case([True] * 16, 4, p) == (1, 1)
+        if p == 1:  # only the full set holds the root at p = 1
+            return
+        dense = _draw_cells(6, 0.9, derive_seed(0xDE5E, p.denominator))
+        tree = _CountTree(list(dense), 4)
+        assert 1 in tree.family(p)  # the root is a member
+        tree_value, reference = bracket_case(dense, 4, p)
+        assert tree_value == reference < 1
+
+    @pytest.mark.parametrize(
+        "offset",
+        [
+            "zero", "top", "one_below", "one_above", "three_below", "three_above",
+            "far_below", "far_above", "nan", "inf", "-inf",
+        ],
+    )
+    @pytest.mark.parametrize("depth,resolution,p,bias", [
+        (4, 6, F(43, 64), 0.7), (5, 4, F(3, 4), 0.9), (3, 7, F(1, 2), 0.5),
+    ])
+    def test_any_guess_gives_the_same_bracket(self, offset, depth, resolution, p, bias):
+        cells = _draw_cells(resolution, bias, derive_seed(0x6E55, depth))
+        low = _CountTree(list(cells), depth).extremes(p)[0]
+        guess = {
+            "zero": 0.0,
+            "top": 2.0 - GRID_STEP,
+            "one_below": low - GRID_STEP,
+            "one_above": low + GRID_STEP,
+            "three_below": low - 3 * GRID_STEP,
+            "three_above": low + 3 * GRID_STEP,
+            "far_below": -7.5,
+            "far_above": 1e300,
+            "nan": float("nan"),
+            "inf": float("inf"),
+            "-inf": float("-inf"),
+        }[offset]
+        tree_value, reference = bracket_case(cells, depth, p, guess)
+        assert tree_value == reference
+        assert 0 < reference < 1
+
+    @pytest.mark.parametrize("mode", ["random", "greedy-flip"])
+    @pytest.mark.parametrize("p", BRACKET_PS)
+    def test_seeded_searches(self, mode, p):
+        for k in range(3):
+            cfg = SearchConfig(
+                p=p,
+                depth=3 + k,
+                cell_resolution=4 + 2 * k,
+                iterations=15,
+                seed=derive_seed(0xB7AC, k),
+                mode=mode,
+            )
+            result = search_extremal(cfg)
+            assert result.certificate_lower == reference_certified_lower_bound(
+                result.best_set, p, cfg.depth
+            )
+
+    @pytest.mark.parametrize("mode", ["random", "greedy-flip"])
+    def test_checks_start_at_the_float_floor(self, monkeypatch, mode):
+        """At the benchmark's settings the float λ_min lies inside its grid
+        cell, so the bracket asks exactly ⌊λ·2²⁰⌋ and the next point."""
+        shifts = []
+        certificate = search.psd_certificate
+
+        def recorded(gram, shift, diag):
+            shifts.append(shift)
+            return certificate(gram, shift, diag)
+
+        monkeypatch.setattr(search, "psd_certificate", recorded)
+        for k in range(4):
+            shifts.clear()
+            result = search_extremal(
+                SearchConfig(
+                    p=F(43, 64),
+                    depth=6,
+                    cell_resolution=8,
+                    iterations=12,
+                    seed=derive_seed(0xF100, k),
+                    mode=mode,
+                    density_bias=0.55,
+                )
+            )
+            low = result.certificate_lower
+            assert F(result.best_ratio) - low < F(1, 1 << 20)
+            assert shifts == [low, low + F(1, 1 << 20)]
+
 
 class TestSearchExtremal:
     CFG = SearchConfig(
@@ -252,6 +392,36 @@ class TestSearchExtremal:
         payload = result.to_json_dict()
         assert StepSet.from_json_dict(payload["best_set"]) == result.best_set
         assert float(payload["best_ratio"]) == result.best_ratio
+
+    def test_kept_results_are_small(self):
+        """A result at the benchmark's settings holds its set's ends (shared
+        endpoint Fractions), its history and a few scalars: at most 2.5 KB."""
+
+        def cfg(k):
+            return SearchConfig(
+                p=F(43, 64),
+                depth=6,
+                cell_resolution=8,
+                iterations=12,
+                seed=derive_seed(0x512E, k),
+                mode=("random", "greedy-flip")[k % 2],
+                density_bias=0.55,
+            )
+
+        StepSet.from_cells([True, False] * 128)  # fills the table of scale 256
+        search_extremal(cfg(0))
+        search_extremal(cfg(1))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [search_extremal(cfg(k)) for k in range(2, 10)]
+            gc.collect()
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(len(result.best_set.intervals) > 40 for result in kept)
+        assert size / len(kept) <= 2.5 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +611,9 @@ class TestCandidateWork:
     @pytest.mark.parametrize("mode", ["random", "greedy-flip"])
     def test_only_winning_or_tied_candidates_build_a_stepset(self, monkeypatch, mode):
         """Winning and tied candidates find their integer runs, for the
-        tie-break; one StepSet is built, for the final winner."""
+        tie-break; one StepSet is built, for the final winner, and no Fraction
+        route runs: the winner is bracketed on its count tree in at most
+        three exact checks."""
         calls = Counter()
 
         def counted(name, function):
@@ -455,6 +627,8 @@ class TestCandidateWork:
             "random_stepset",
             "enumerate_family",
             "build_gram",
+            "certified_lower_bound",
+            "psd_certificate",
             "eig_bounds",
             "cell_runs",
         ):
@@ -487,9 +661,10 @@ class TestCandidateWork:
         assert contenders < len(ratios)  # some candidates neither win nor tie
         assert calls["cell_runs"] == contenders
         assert (calls["from_runs"], calls["from_cells"]) == (1, 0)
-        # the final bracket on the winning set is the only Fraction route
-        assert calls["enumerate_family"] == 1
-        assert calls["build_gram"] == 1
+        assert calls["enumerate_family"] == 0
+        assert calls["build_gram"] == 0
+        assert calls["certified_lower_bound"] == 0
+        assert 1 <= calls["psd_certificate"] <= 3
         assert calls["random_stepset"] == 0
         assert calls["eig_bounds"] == 0
 
