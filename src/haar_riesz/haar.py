@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import InputError
@@ -137,50 +139,89 @@ def indicator(region: StepSet) -> PiecewiseConstant:
 
 
 class CoefficientMap:
-    """Finite assignment interval -> coefficient; zero coefficients are dropped."""
+    """Finite assignment dyadic interval -> rational coefficient.
 
-    __slots__ = ("_entries",)
+    The map is three parallel integer sequences sorted by heap node
+    2^level + index, which is the (level, index) order: ``nodes``,
+    ``numerators`` and ``denominators``, each coefficient in lowest terms
+    with a positive denominator.  Each sequence is an ``array`` of the
+    narrowest signed type that holds all its values, or a tuple past 64
+    bits (see :func:`_packed`).  The map keeps no ``Fraction`` and no
+    ``DyadicInterval``; ``[]`` (a bisection on ``nodes``), ``items`` and
+    ``support`` build them on request.  Zero coefficients are dropped, and a
+    key given more than once keeps its last value, a last value of 0
+    removing it.
+    """
+
+    __slots__ = ("nodes", "numerators", "denominators")
 
     def __init__(self, entries: Union[Mapping, Iterable[Tuple[DyadicInterval, Fraction]]] = ()):
         items = entries.items() if isinstance(entries, Mapping) else entries
-        store: dict[DyadicInterval, Fraction] = {}
+        store: dict[int, Fraction] = {}
         for interval, value in items:
             if not isinstance(interval, DyadicInterval):
                 raise InputError(f"coefficient key must be a DyadicInterval, got {interval!r}")
             value = Fraction(value)
+            node = (1 << interval.level) + interval.index
             if value:
-                store[interval] = value
-        self._entries = store
+                store[node] = value
+            else:
+                store.pop(node, None)
+        nodes = sorted(store)
+        self._set(
+            nodes,
+            [store[node].numerator for node in nodes],
+            [store[node].denominator for node in nodes],
+        )
+
+    def _set(self, nodes: Sequence[int], numerators: Sequence[int], denominators: Sequence[int]):
+        self.nodes = _packed(nodes)
+        self.numerators = _packed(numerators)
+        self.denominators = _packed(denominators)
 
     def __getitem__(self, interval: DyadicInterval) -> Fraction:
-        return self._entries.get(interval, Fraction(0))
+        node = (1 << interval.level) + interval.index
+        k = bisect_left(self.nodes, node)
+        if k < len(self.nodes) and self.nodes[k] == node:
+            return Fraction(self.numerators[k], self.denominators[k])
+        return Fraction(0)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.nodes)
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
+        return bool(self.nodes)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CoefficientMap) and self._entries == other._entries
+        # equal values are packed alike, and arrays compare by value
+        return (
+            isinstance(other, CoefficientMap)
+            and self.nodes == other.nodes
+            and self.numerators == other.numerators
+            and self.denominators == other.denominators
+        )
 
     def __iter__(self):
         return iter(self.support())
 
     def items(self) -> list[Tuple[DyadicInterval, Fraction]]:
-        return sorted(self._entries.items())
+        return [
+            (node_interval(node), Fraction(num, den))
+            for node, num, den in zip(self.nodes, self.numerators, self.denominators)
+        ]
 
     def support(self) -> list[DyadicInterval]:
-        return sorted(self._entries)
+        return [node_interval(node) for node in self.nodes]
 
     def max_level(self) -> int:
         """Deepest level carrying a coefficient; -1 when empty."""
-        return max((i.level for i in self._entries), default=-1)
+        return self.nodes[-1].bit_length() - 1 if self.nodes else -1
 
     def restrict(self, max_level: int) -> "CoefficientMap":
-        return CoefficientMap(
-            (i, a) for i, a in self._entries.items() if i.level <= max_level
-        )
+        k = bisect_left(self.nodes, 1 << (max_level + 1)) if max_level >= 0 else 0
+        restricted = object.__new__(CoefficientMap)
+        restricted._set(self.nodes[:k], self.numerators[:k], self.denominators[:k])
+        return restricted
 
     def to_json_dict(self) -> dict:
         return {
@@ -204,6 +245,30 @@ class CoefficientMap:
     def __repr__(self) -> str:
         body = ", ".join(f"{i}: {a}" for i, a in self.items())
         return f"CoefficientMap({{{body}}})"
+
+
+_TYPECODES = ("b", "h", "i", "q")  # signed integers of 8, 16, 32 and 64 bits
+
+
+def _packed(values: Sequence[int]) -> Sequence[int]:
+    """The ints as an ``array`` of the narrowest signed type that holds them
+    all, or as a tuple when one needs more than 64 bits.
+
+    The choice depends only on the values, so equal sequences are packed
+    alike.
+    """
+    low, high = min(values, default=0), max(values, default=0)
+    for code in _TYPECODES:
+        bound = 1 << (8 * array(code).itemsize - 1)
+        if -bound <= low and high < bound:
+            return array(code, values)
+    return tuple(values)
+
+
+def node_interval(node: int) -> DyadicInterval:
+    """The dyadic interval of heap node 2^level + index."""
+    level = node.bit_length() - 1
+    return DyadicInterval(level, node - (1 << level))
 
 
 def halves(interval: DyadicInterval) -> Tuple[DyadicInterval, DyadicInterval]:
@@ -259,25 +324,30 @@ def combination(coeffs: CoefficientMap, region: StepSet) -> PiecewiseConstant:
     and the right end of I.  All points lie on the grid of step 2^-(M+1),
     M the deepest level, so they are kept as integer grid positions, sorted
     once, and the prefix sums of the jumps are the values between them.
+    The jumps are integers too, in units of 1/D with D the least common
+    denominator of the coefficients.
     """
     shift = coeffs.max_level() + 1
-    jumps: dict[int, Fraction] = {}
-    for interval, a in coeffs.items():
-        half = 1 << (shift - interval.level - 1)
-        left = interval.index * 2 * half
+    scale = lcm(*coeffs.denominators)
+    jumps: dict[int, int] = {}
+    for node, num, den in zip(coeffs.nodes, coeffs.numerators, coeffs.denominators):
+        level = node.bit_length() - 1
+        a = num * (scale // den)
+        half = 1 << (shift - level - 1)
+        left = (node - (1 << level)) * 2 * half
         for point, jump in ((left, -a), (left + half, 2 * a), (left + 2 * half, -a)):
             jumps[point] = jumps.get(point, 0) + jump
-    scale = 1 << shift
+    width = 1 << shift
     breakpoints = [Fraction(0)]
     values = []
-    running = jumps.pop(0, Fraction(0))
-    jumps.pop(scale, None)
+    running = jumps.pop(0, 0)
+    jumps.pop(width, None)
     for point in sorted(jumps):
-        breakpoints.append(Fraction(point, scale))
-        values.append(running)
+        breakpoints.append(Fraction(point, width))
+        values.append(Fraction(running, scale))
         running += jumps[point]
     breakpoints.append(Fraction(1))
-    values.append(running)
+    values.append(Fraction(running, scale))
     return PiecewiseConstant(tuple(breakpoints), tuple(values)).restrict(region)
 
 

@@ -164,7 +164,12 @@ class SearchResult:
     best_ratio: float
     family_size: int
     certificate_lower: Fraction
-    history: Tuple[Tuple[int, float], ...]
+    ratios: Tuple[float, ...]  # one scored ratio per iteration
+
+    @property
+    def history(self) -> Tuple[Tuple[int, float], ...]:
+        """The (iteration, ratio) pairs, built from ``ratios`` on request."""
+        return tuple(enumerate(self.ratios))
 
     def to_json_dict(self, precision: int = 17) -> dict:
         """Floats rendered to ``precision`` significant digits."""
@@ -457,7 +462,7 @@ def _bias_for(cfg: SearchConfig, iteration: int) -> float:
 def _search_random(
     cfg: SearchConfig, floor: Optional[float], ceiling: float, memo: dict
 ):
-    history: List[Tuple[int, float]] = []
+    ratios: List[float] = []
     best = None
     for iteration in range(cfg.iterations):
         cells = _draw_cells(
@@ -466,9 +471,9 @@ def _search_random(
             derive_seed(cfg.seed, iteration),
         )
         ratio, size = _score(_CountTree(cells, cfg.depth, memo), cfg, floor, ceiling)
-        history.append((iteration, ratio))
+        ratios.append(ratio)
         best = _offer(best, ratio, size, cells)
-    return best, history
+    return best, ratios
 
 
 def _search_greedy(
@@ -487,13 +492,13 @@ def _search_greedy(
     current_ratio, size = _score(tree, cfg, floor, ceiling)
     best = _offer(None, current_ratio, size, tree.cells)
 
-    history: List[Tuple[int, float]] = []
+    ratios: List[float] = []
     stagnation = 0
-    for iteration in range(cfg.iterations):
+    for _ in range(cfg.iterations):
         flip = flip_rng.next_u64() % n_cells
         tree.toggle(flip)
         ratio, size = _score(tree, cfg, floor, ceiling)
-        history.append((iteration, ratio))
+        ratios.append(ratio)
         best = _offer(best, ratio, size, tree.cells)
         if ratio < current_ratio:
             current_ratio = ratio
@@ -507,7 +512,7 @@ def _search_greedy(
             current_ratio, size = _score(tree, cfg, floor, ceiling)
             best = _offer(best, current_ratio, size, tree.cells)
             stagnation = 0
-    return best, history
+    return best, ratios
 
 
 def search_extremal(cfg: SearchConfig) -> SearchResult:
@@ -517,7 +522,7 @@ def search_extremal(cfg: SearchConfig) -> SearchResult:
     deterministic lexicographic tie-break on the set); greedy-flip mode
     hill-descends by single-cell flips, restarting after stagnation; each
     restart's fresh set competes for the best as the flips do, though
-    ``history`` keeps one entry per iteration.  Every evaluated ratio is
+    ``ratios`` keeps one entry per iteration.  Every evaluated ratio is
     checked against the certified theorem floor.  The returned record
     carries an exact certified bracket for the winning set, equal to
     :func:`certified_lower_bound` of it, taken on its count tree.
@@ -529,7 +534,7 @@ def search_extremal(cfg: SearchConfig) -> SearchResult:
     floor = _floor_for(cfg.p)
     ceiling = float(Fraction(1) / cfg.p) + _FLOAT_TOL
     run = _search_random if cfg.mode == "random" else _search_greedy
-    (ratio, runs, size), history = run(cfg, floor, ceiling, {})
+    (ratio, runs, size), ratios = run(cfg, floor, ceiling, {})
     cells = [False] * (1 << cfg.cell_resolution)
     for a, b in runs:
         cells[a:b] = [True] * (b - a)
@@ -539,5 +544,5 @@ def search_extremal(cfg: SearchConfig) -> SearchResult:
         best_ratio=ratio,
         family_size=size,
         certificate_lower=certificate,
-        history=tuple(history),
+        ratios=tuple(ratios),
     )

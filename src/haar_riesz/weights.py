@@ -9,17 +9,32 @@ continued linearly through the origin below p.  The per-cell weight is
 weight_mass(q)/q, and one level of the induction trades the re-weighted norm
 of a Haar combination against the newly added level's unweighted mass.
 Everything in this module is exact rational arithmetic.
+
+The curve is evaluated from integers: with p = a/b and q = n/m in lowest
+terms it is (D + a(2b−a)m)/D with D = (3a−2b)(3am−2bn) for q ≥ p, and
+2bn/((3a−2b)m) below p, one Fraction normalisation each.
+
+Every cell mass comes from one route, :func:`_cell_masses`: one sweep of the
+set at the ends of the deepest cells, in integer units of the sweep's common
+denominator, each coarser level's masses the pairwise sums of the level
+below.  The values of a partial Haar sum on the cells come from one
+top-down walk, :func:`_level_values`, in integer units of the coefficients'
+common denominator: a cell's value is its parent's value minus the parent's
+coefficient on the left half and plus it on the right.  A level's weighted
+norm, :func:`_level_norm`, sums the squared values per cell mass and
+evaluates the curve once per distinct mass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional
+from math import lcm
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import InputError
-from .haar import MAX_DEPTH, CoefficientMap, halves
-from .measure import DyadicInterval, StepSet, density, intersect_measure
+from .haar import MAX_DEPTH, CoefficientMap, halves, meets_density, node_interval
+from .measure import DyadicInterval, StepSet, measures_below
 
 _TWO_THIRDS = Fraction(2, 3)
 
@@ -32,7 +47,7 @@ def _check_level(level: int):
         raise InputError(f"level must be <= {MAX_LEVEL}, got {level}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightConfig:
     """Density threshold p; the weight curve exists only for 2/3 < p ≤ 1."""
 
@@ -55,15 +70,18 @@ def weight_mass_unclipped(q: Fraction, cfg: WeightConfig) -> Fraction:
 def weight_mass(q: Fraction, cfg: WeightConfig) -> Fraction:
     """Weighted E-mass per unit cell length at density q (exact).
 
-    Hyperbola branch for q ≥ p, linear continuation through the origin below.
+    Hyperbola branch for q ≥ p, linear continuation through the origin below,
+    each from the integers of p = a/b and q = n/m (see the module notes).
     """
     q = Fraction(q)
     if not 0 <= q <= 1:
         raise InputError(f"density must lie in [0,1], got {q}")
-    p = cfg.p
-    if q >= p:
-        return weight_mass_unclipped(q, cfg)
-    return weight_mass_unclipped(p, cfg) * q / p
+    a, b = cfg.p.numerator, cfg.p.denominator
+    n, m = q.numerator, q.denominator
+    if n * b >= a * m:
+        d = (3 * a - 2 * b) * (3 * a * m - 2 * b * n)
+        return Fraction(d + a * (2 * b - a) * m, d)
+    return Fraction(2 * b * n, (3 * a - 2 * b) * m)
 
 
 def mass_cap(cfg: WeightConfig) -> Fraction:
@@ -166,7 +184,7 @@ def check_mass_bounds(q: Fraction, cfg: WeightConfig) -> MassBounds:
     return MassBounds(q <= g, g <= cap * q, cap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightProfile:
     """Constant weight value per dyadic cell of one fixed level."""
 
@@ -189,34 +207,115 @@ def weight_profile(region: StepSet, n: int, cfg: WeightConfig) -> WeightProfile:
     if n < 0:
         raise InputError(f"need n >= 0, got {n}")
     _check_level(n)
-    default = weight_mass(cfg.p, cfg) / cfg.p
+    cell_level = n + 1
+    unit, counts = _cell_masses(region, cell_level)
+    by_mass = {0: weight_mass(cfg.p, cfg) / cfg.p}
     values: Dict[DyadicInterval, Fraction] = {}
-    for index in range(1 << (n + 1)):
-        cell = DyadicInterval(n + 1, index)
-        q = density(region, cell)
-        values[cell] = weight_mass(q, cfg) / q if q > 0 else default
-    return WeightProfile(n + 1, values)
+    for index, c in enumerate(counts[cell_level]):
+        if c not in by_mass:
+            q = Fraction(c << cell_level, unit)
+            by_mass[c] = weight_mass(q, cfg) / q
+        values[DyadicInterval(cell_level, index)] = by_mass[c]
+    return WeightProfile(cell_level, values)
 
 
-def _partial_sum_values(
-    coeffs: CoefficientMap, max_level: int, cell_level: int
-) -> List[Fraction]:
-    """Values on the level-`cell_level` cells of Σ_{level(I) ≤ max_level} a_I h_I.
+def _cell_masses(region: StepSet, deepest: int) -> Tuple[int, List[List[int]]]:
+    """(unit, counts): |E ∩ I| = counts[level][index] / unit for every dyadic
+    interval I of level ≤ ``deepest``.
 
-    Requires max_level < cell_level so every contributing Haar function is
-    constant on each cell; the sign is the cell's half-of-ancestor bit.
+    One :func:`measures_below` sweep at the ends of the level-``deepest``
+    cells gives that level; ``unit`` is the least common denominator of the
+    sweep's values, and each coarser level is the pairwise sums of the level
+    below it.
     """
-    top = min(max_level, cell_level - 1)
-    values = []
-    for index in range(1 << cell_level):
-        total = Fraction(0)
-        for level in range(top + 1):
-            a = coeffs[DyadicInterval(level, index >> (cell_level - level))]
-            if a:
-                bit = (index >> (cell_level - level - 1)) & 1
-                total += a if bit else -a
-        values.append(total)
-    return values
+    scale = 1 << deepest
+    below = measures_below(region, [Fraction(k, scale) for k in range(scale + 1)])
+    unit = lcm(*(x.denominator for x in below))
+    ends = [x.numerator * (unit // x.denominator) for x in below]
+    level = [right - left for left, right in zip(ends, ends[1:])]
+    counts = [level]
+    while len(level) > 1:
+        level = [left + right for left, right in zip(level[0::2], level[1::2])]
+        counts.append(level)
+    counts.reverse()
+    return unit, counts
+
+
+def _scaled_levels(
+    coeffs: CoefficientMap, top: int
+) -> Tuple[int, List[List[Tuple[int, int]]]]:
+    """(scale, terms): terms[level] lists (index, a·scale) for every
+    coefficient a on a level ≤ ``top``, in index order; ``scale`` is the
+    least common denominator of the coefficients."""
+    scale = lcm(*coeffs.denominators)
+    terms: List[List[Tuple[int, int]]] = [[] for _ in range(top + 1)]
+    for node, num, den in zip(coeffs.nodes, coeffs.numerators, coeffs.denominators):
+        level = node.bit_length() - 1
+        if level > top:
+            break
+        terms[level].append((node - (1 << level), num * (scale // den)))
+    return scale, terms
+
+
+def _level_values(terms: List[List[Tuple[int, int]]]) -> Iterator[List[int]]:
+    """For level = 0, 1, …, len(terms) − 1 in turn: the values, in the units
+    of ``terms``, of Σ_{level(I) ≤ level} a_I h_I on the level-(level+1) cells.
+
+    A cell's value is its parent's value, minus the parent's coefficient on
+    the left half and plus it on the right half.
+    """
+    values = [0]
+    for level_terms in terms:
+        values = [v for v in values for _ in (0, 1)]
+        for index, a in level_terms:
+            values[2 * index] -= a
+            values[2 * index + 1] += a
+        yield values
+
+
+def _level_norm(
+    level: int, values: List[int], counts: List[int], unit: int, scale: int,
+    cfg: WeightConfig,
+) -> Fraction:
+    """‖Σ_{level(I) ≤ level} a_I h_I 1_E‖² in L²(w_level), from the values·scale
+    on the level-(level+1) cells and their masses counts/unit.
+
+    A cell of density q contributes value²·weight_mass(q)·|cell|, and
+    weight_mass(0) = 0 settles the cells E misses; so the squared values are
+    summed per cell mass and the curve is evaluated once per distinct mass.
+    """
+    squares: Dict[int, int] = {}
+    for s, c in zip(values, counts):
+        if s and c:
+            squares[c] = squares.get(c, 0) + s * s
+    cell_level = level + 1
+    total = sum(
+        (
+            weight_mass(Fraction(c << cell_level, unit), cfg) * square
+            for c, square in squares.items()
+        ),
+        Fraction(0),
+    )
+    return total / ((scale * scale) << cell_level)
+
+
+def _step_rhs(
+    level: int, terms: List[Tuple[int, int]], counts: List[int], unit: int,
+    cfg: WeightConfig,
+) -> int:
+    """Σ a²·|I ∩ E| over one level's scaled coefficients, in units of
+    1/(scale²·unit), after checking that each coefficient below the root is
+    admissible (density ≥ p), as the step that adds its level requires."""
+    total = 0
+    for index, a in terms:
+        c = counts[index]
+        if level and not meets_density(c, unit, level, cfg.p):
+            raise InputError(
+                f"inadmissible coefficient on {DyadicInterval(level, index)}: "
+                f"density {Fraction(c << level, unit)} < {cfg.p}"
+            )
+        total += a * a * c
+    return total
 
 
 def weighted_norm_sq(
@@ -229,16 +328,12 @@ def weighted_norm_sq(
     which also settles the zero-density cells (weight_mass(0) = 0).
     """
     _check_level(level)
-    cell_level = level + 1
-    svals = _partial_sum_values(coeffs, level, cell_level)
-    total = Fraction(0)
-    for index, s in enumerate(svals):
-        if s:
-            cell = DyadicInterval(cell_level, index)
-            q = density(region, cell)
-            if q:
-                total += s * s * weight_mass(q, cfg) * cell.measure
-    return total
+    if level < 0:
+        return Fraction(0)
+    unit, counts = _cell_masses(region, level + 1)
+    scale, terms = _scaled_levels(coeffs, level)
+    *_, values = _level_values(terms)
+    return _level_norm(level, values, counts[level + 1], unit, scale, cfg)
 
 
 class StepResult(NamedTuple):
@@ -261,39 +356,22 @@ def induction_step_check(
     constant base value on each cell and are unconstrained.
     """
     _check_level(n + 1)
-    rhs = _step_rhs(region, coeffs, n, cfg)
-    lhs = weighted_norm_sq(region, coeffs, n + 1, cfg) - weighted_norm_sq(
-        region, coeffs, n, cfg
-    )
-    return StepResult(lhs >= rhs, lhs, rhs)
-
-
-def _step_rhs(
-    region: StepSet, coeffs: CoefficientMap, n: int, cfg: WeightConfig
-) -> Fraction:
-    """Σ_{level(I) = n+1} ‖a_I h_I 1_E‖², after checking that the coefficients
-    fit step n of :func:`induction_step_check`."""
     if n < 0:
         raise InputError(f"need n >= 0, got {n}")
-    for interval, _ in coeffs.items():
-        if interval.level > n + 1:
-            raise InputError(
-                f"coefficient on {interval} lies below level {n + 1}"
-            )
-        if interval.level == n + 1:
-            q = density(region, interval)
-            if q < cfg.p:
-                raise InputError(
-                    f"inadmissible coefficient on {interval}: density {q} < {cfg.p}"
-                )
-    return sum(
-        (
-            a * a * intersect_measure(region, interval)
-            for interval, a in coeffs.items()
-            if interval.level == n + 1
-        ),
-        Fraction(0),
-    )
+    unit, counts = _cell_masses(region, n + 2)
+    scale, terms = _scaled_levels(coeffs, n + 1)
+    rhs = _step_rhs(n + 1, terms[n + 1], counts[n + 1], unit, cfg)
+    if coeffs.max_level() > n + 1:
+        deeper = node_interval(coeffs.nodes[sum(map(len, terms))])
+        raise InputError(f"coefficient on {deeper} lies below level {n + 1}")
+    norms = [
+        _level_norm(level, values, counts[level + 1], unit, scale, cfg)
+        for level, values in enumerate(_level_values(terms))
+        if level >= n
+    ]
+    lhs = norms[1] - norms[0]
+    rhs = Fraction(rhs, scale * scale * unit)
+    return StepResult(lhs >= rhs, lhs, rhs)
 
 
 def per_interval_check(
@@ -313,8 +391,9 @@ def per_interval_check(
     """
     b, a = Fraction(b), Fraction(a)
     lh, rh = halves(interval)
-    q1 = density(region, lh)
-    q2 = density(region, rh)
+    below = measures_below(region, (lh.left, rh.left, rh.right))
+    q1 = (below[1] - below[0]) / lh.measure
+    q2 = (below[2] - below[1]) / rh.measure
     mid = (q1 + q2) / 2
     lhs = (
         (b - a) ** 2 * lh.measure * weight_mass(q1, cfg)
@@ -325,7 +404,7 @@ def per_interval_check(
     return lhs >= rhs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TelescopeReport:
     """Base level plus all induction steps up to a top level, with exact sums."""
 
@@ -357,22 +436,28 @@ def telescope_check(
     if coeffs.max_level() > k:
         raise InputError(f"coefficients extend past level {k}")
     _check_level(k)
-    # the level-n norm only sees coefficients on levels ≤ n, so each level is
-    # computed once and serves as the new side of step n−1 and the old of step n
-    norms = [weighted_norm_sq(region, coeffs, 0, cfg)]
-    root = DyadicInterval(0, 0)
-    base_rhs = coeffs[root] ** 2 * intersect_measure(region, root)
+    unit, counts = _cell_masses(region, k + 1)
+    scale, terms = _scaled_levels(coeffs, k)
+    # every level's Σ a²·|I∩E|, each new level checked for admissibility in
+    # turn, then every level's norm once: the new side of step n−1 and the
+    # old side of step n
+    rhs = [
+        _step_rhs(level, terms[level], counts[level], unit, cfg)
+        for level in range(k + 1)
+    ]
+    norms = [
+        _level_norm(level, values, counts[level + 1], unit, scale, cfg)
+        for level, values in enumerate(_level_values(terms))
+    ]
+    den = scale * scale * unit
+    base_lhs, weighted_total = norms[0], norms[k]
+    base_rhs = Fraction(rhs[0], den)
     steps = []
     for n in range(k):
-        rhs = _step_rhs(region, coeffs.restrict(n + 1), n, cfg)
-        norms.append(weighted_norm_sq(region, coeffs, n + 1, cfg))
         lhs = norms[n + 1] - norms[n]
-        steps.append(StepResult(lhs >= rhs, lhs, rhs))
-    base_lhs, weighted_total = norms[0], norms[k]
-    norm_total = sum(
-        (a * a * intersect_measure(region, i) for i, a in coeffs.items()),
-        Fraction(0),
-    )
+        step_rhs = Fraction(rhs[n + 1], den)
+        steps.append(StepResult(lhs >= step_rhs, lhs, step_rhs))
+    norm_total = Fraction(sum(rhs), den)
     lhs_sum = base_lhs + sum((s.lhs for s in steps), Fraction(0))
     rhs_sum = base_rhs + sum((s.rhs for s in steps), Fraction(0))
     holds = (
@@ -386,7 +471,7 @@ def telescope_check(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridReport:
     """Result of an exact sweep of the weight-curve inequalities over a grid."""
 
@@ -423,16 +508,22 @@ def verify_grid(cfg: WeightConfig, grid: int = 256) -> GridReport:
     cap = mass_cap(cfg)
     reach = 2 * cfg.p.numerator * grid  # (i+j)·p_den ≥ reach ⇔ midpoint ≥ p
     p_den = cfg.p.denominator
-    gpos_failures = []
+    # k, l and the threshold test are symmetric in (i, j) and b is
+    # antisymmetric, so b² is symmetric: decide j ≥ i and mirror the rest
+    kinds = []
     for i in range(grid + 1):
         n1, d1 = num[2 * i], den[2 * i]
-        for j in range(grid + 1):
+        for j in range(i, grid + 1):
             kind = _split_failure(
                 n1, d1, num[2 * j], den[2 * j], num[i + j], den[i + j],
                 (i + j) * p_den >= reach,
             )
             if kind is not None:
-                gpos_failures.append((Fraction(i, grid), Fraction(j, grid), kind))
+                kinds.append((i, j, kind))
+                if i != j:
+                    kinds.append((j, i, kind))
+    kinds.sort()
+    gpos_failures = [(Fraction(i, grid), Fraction(j, grid), kind) for i, j, kind in kinds]
     gcomp_failures = []
     for k in range(grid + 1):
         q = Fraction(k, grid)

@@ -21,7 +21,16 @@ from haar_riesz.gram import (
     psd_certificate,
 )
 from haar_riesz.haar import PiecewiseConstant, enumerate_family, haar_function
-from haar_riesz.weights import GridReport, WeightConfig, mass_cap, weight_mass
+from haar_riesz.measure import density, intersect_measure
+from haar_riesz.weights import (
+    GridReport,
+    StepResult,
+    TelescopeReport,
+    WeightConfig,
+    WeightProfile,
+    mass_cap,
+    weight_mass,
+)
 
 # Exact arithmetic makes example times vary with the drawn sizes, and the
 # machines running the suite differ in speed, so no test has a deadline.
@@ -300,4 +309,192 @@ def reference_verify_grid(cfg: WeightConfig, grid: int = 256) -> GridReport:
             gcomp_failures.append(q)
     return GridReport(
         cfg.p, Fraction(1, grid), tuple(gpos_failures), tuple(gcomp_failures), cap
+    )
+
+
+# ---------------------------------------------------------------------------
+# The library's earlier weight routines, kept here unchanged (bar the
+# reference_ names they call each other by) as differential references for
+# the one-sweep integer route: the literal curve formula, one density call
+# per cell, and one Fraction partial sum per cell and level.  MAX_LEVEL is
+# the library's level cap, as it was.
+
+
+REFERENCE_MAX_LEVEL = 16
+
+
+def reference_check_level(level: int):
+    if level > REFERENCE_MAX_LEVEL:
+        raise InputError(f"level must be <= {REFERENCE_MAX_LEVEL}, got {level}")
+
+
+def reference_weight_mass_unclipped(q: Fraction, cfg: WeightConfig) -> Fraction:
+    """The hyperbola branch on all of [0,1]; well defined since 2q ≤ 2 < 3p."""
+    q = Fraction(q)
+    p = cfg.p
+    return 1 + (p * (2 - p)) / ((3 * p - 2) * (3 * p - 2 * q))
+
+
+def reference_weight_mass(q: Fraction, cfg: WeightConfig) -> Fraction:
+    """Weighted E-mass per unit cell length at density q (exact).
+
+    Hyperbola branch for q ≥ p, linear continuation through the origin below.
+    """
+    q = Fraction(q)
+    if not 0 <= q <= 1:
+        raise InputError(f"density must lie in [0,1], got {q}")
+    p = cfg.p
+    if q >= p:
+        return reference_weight_mass_unclipped(q, cfg)
+    return reference_weight_mass_unclipped(p, cfg) * q / p
+
+
+def reference_weight_profile(region: StepSet, n: int, cfg: WeightConfig) -> WeightProfile:
+    """The step-n weight: on each level-(n+1) cell the value weight_mass(q)/q.
+
+    On cells the region misses entirely the weight is irrelevant (the weighted
+    integrand vanishes there); it is set to weight_mass(p)/p, the constant
+    value of the ratio on the whole linear branch, which keeps every profile
+    value inside [1, C].
+    """
+    if n < 0:
+        raise InputError(f"need n >= 0, got {n}")
+    reference_check_level(n)
+    default = reference_weight_mass(cfg.p, cfg) / cfg.p
+    values = {}
+    for index in range(1 << (n + 1)):
+        cell = DyadicInterval(n + 1, index)
+        q = density(region, cell)
+        values[cell] = reference_weight_mass(q, cfg) / q if q > 0 else default
+    return WeightProfile(n + 1, values)
+
+
+def reference_partial_sum_values(
+    coeffs: CoefficientMap, max_level: int, cell_level: int
+) -> list:
+    """Values on the level-`cell_level` cells of Σ_{level(I) ≤ max_level} a_I h_I.
+
+    Requires max_level < cell_level so every contributing Haar function is
+    constant on each cell; the sign is the cell's half-of-ancestor bit.
+    """
+    top = min(max_level, cell_level - 1)
+    values = []
+    for index in range(1 << cell_level):
+        total = Fraction(0)
+        for level in range(top + 1):
+            a = coeffs[DyadicInterval(level, index >> (cell_level - level))]
+            if a:
+                bit = (index >> (cell_level - level - 1)) & 1
+                total += a if bit else -a
+        values.append(total)
+    return values
+
+
+def reference_weighted_norm_sq(
+    region: StepSet, coeffs: CoefficientMap, level: int, cfg: WeightConfig
+) -> Fraction:
+    """‖Σ_{level(I) ≤ level} a_I h_I 1_E‖² in L²(w_level), exactly.
+
+    The combination is constant on level-(level+1) cells, where the weight is
+    weight_mass(q)/q; each cell therefore contributes value²·weight_mass(q)·|cell|,
+    which also settles the zero-density cells (weight_mass(0) = 0).
+    """
+    reference_check_level(level)
+    cell_level = level + 1
+    svals = reference_partial_sum_values(coeffs, level, cell_level)
+    total = Fraction(0)
+    for index, s in enumerate(svals):
+        if s:
+            cell = DyadicInterval(cell_level, index)
+            q = density(region, cell)
+            if q:
+                total += s * s * reference_weight_mass(q, cfg) * cell.measure
+    return total
+
+
+def reference_step_rhs(
+    region: StepSet, coeffs: CoefficientMap, n: int, cfg: WeightConfig
+) -> Fraction:
+    """Σ_{level(I) = n+1} ‖a_I h_I 1_E‖², after checking that the coefficients
+    fit step n of :func:`reference_induction_step_check`."""
+    if n < 0:
+        raise InputError(f"need n >= 0, got {n}")
+    for interval, _ in coeffs.items():
+        if interval.level > n + 1:
+            raise InputError(
+                f"coefficient on {interval} lies below level {n + 1}"
+            )
+        if interval.level == n + 1:
+            q = density(region, interval)
+            if q < cfg.p:
+                raise InputError(
+                    f"inadmissible coefficient on {interval}: density {q} < {cfg.p}"
+                )
+    return sum(
+        (
+            a * a * intersect_measure(region, interval)
+            for interval, a in coeffs.items()
+            if interval.level == n + 1
+        ),
+        Fraction(0),
+    )
+
+
+def reference_induction_step_check(
+    region: StepSet, coeffs: CoefficientMap, n: int, cfg: WeightConfig
+) -> StepResult:
+    """Exact check of one descent level (see the library's
+    ``induction_step_check``)."""
+    reference_check_level(n + 1)
+    rhs = reference_step_rhs(region, coeffs, n, cfg)
+    lhs = reference_weighted_norm_sq(
+        region, coeffs, n + 1, cfg
+    ) - reference_weighted_norm_sq(region, coeffs, n, cfg)
+    return StepResult(lhs >= rhs, lhs, rhs)
+
+
+def reference_telescope_check(
+    region: StepSet,
+    coeffs: CoefficientMap,
+    cfg: WeightConfig,
+    top_level=None,
+) -> TelescopeReport:
+    """Run the base inequality and every induction step up to ``top_level``.
+
+    Summing base + steps telescopes exactly into the weighted inequality
+    ‖Σ a_I h_I 1_E‖²_{w_k} ≥ Σ ‖a_I h_I 1_E‖²; the report records both sides
+    and whether the telescoping identity is exact.
+    """
+    k = coeffs.max_level() if top_level is None else top_level
+    if k < 0:
+        k = 0
+    if coeffs.max_level() > k:
+        raise InputError(f"coefficients extend past level {k}")
+    reference_check_level(k)
+    # the level-n norm only sees coefficients on levels ≤ n, so each level is
+    # computed once and serves as the new side of step n−1 and the old of step n
+    norms = [reference_weighted_norm_sq(region, coeffs, 0, cfg)]
+    root = DyadicInterval(0, 0)
+    base_rhs = coeffs[root] ** 2 * intersect_measure(region, root)
+    steps = []
+    for n in range(k):
+        rhs = reference_step_rhs(region, coeffs.restrict(n + 1), n, cfg)
+        norms.append(reference_weighted_norm_sq(region, coeffs, n + 1, cfg))
+        lhs = norms[n + 1] - norms[n]
+        steps.append(StepResult(lhs >= rhs, lhs, rhs))
+    base_lhs, weighted_total = norms[0], norms[k]
+    norm_total = sum(
+        (a * a * intersect_measure(region, i) for i, a in coeffs.items()),
+        Fraction(0),
+    )
+    lhs_sum = base_lhs + sum((s.lhs for s in steps), Fraction(0))
+    rhs_sum = base_rhs + sum((s.rhs for s in steps), Fraction(0))
+    holds = (
+        base_lhs >= base_rhs
+        and all(s.holds for s in steps)
+        and weighted_total >= norm_total
+    )
+    exact = lhs_sum == weighted_total and rhs_sum == norm_total
+    return TelescopeReport(
+        k, base_lhs, base_rhs, tuple(steps), weighted_total, norm_total, holds, exact
     )

@@ -1,3 +1,6 @@
+import gc
+import json
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -317,3 +320,94 @@ class TestCoefficientMap:
             {DyadicInterval(0, 0): F(1), DyadicInterval(2, 3): F(-7, 3)}
         )
         assert CoefficientMap.from_json_dict(coeffs.to_json_dict()) == coeffs
+
+    def test_duplicate_keys_last_value_wins(self):
+        interval = DyadicInterval(2, 1)
+        other = DyadicInterval(1, 0)
+        assert CoefficientMap([(interval, 1), (interval, 2)])[interval] == 2
+        assert CoefficientMap([(interval, 1), (interval, 0)]) == CoefficientMap()
+        assert CoefficientMap([(interval, 0), (interval, F(3, 4))])[interval] == F(3, 4)
+        kept = CoefficientMap([(interval, 1), (other, 5), (interval, 0), (other, -1)])
+        assert kept.items() == [(other, F(-1))]
+
+    def test_duplicate_keys_in_json(self):
+        entries = [
+            {"level": 2, "index": 1, "a": "1/1"},
+            {"level": 0, "index": 0, "a": "2/1"},
+            {"level": 2, "index": 1, "a": "0/1"},
+            {"level": 0, "index": 0, "a": "-5/3"},
+        ]
+        coeffs = CoefficientMap.from_json_dict(json.dumps({"coeffs": entries}))
+        assert coeffs.items() == [(DyadicInterval(0, 0), F(-5, 3))]
+        assert len(coeffs) == 1
+
+    @given(
+        st.lists(
+            st.tuples(
+                dyadic_intervals(max_level=5),
+                st.fractions(min_value=-3, max_value=3, max_denominator=5),
+            ),
+            max_size=12,
+        ),
+        st.integers(-2, 6),
+    )
+    @settings(max_examples=100)
+    def test_matches_a_dict_model(self, entries, level):
+        model = {}
+        for interval, value in entries:
+            model[interval] = value
+        model = {i: a for i, a in model.items() if a}
+        coeffs = CoefficientMap(entries)
+        assert coeffs.items() == sorted(model.items())
+        assert coeffs.support() == sorted(model) == list(coeffs)
+        assert len(coeffs) == len(model) and bool(coeffs) == bool(model)
+        assert coeffs == CoefficientMap(sorted(model.items(), reverse=True))
+        assert coeffs.max_level() == max((i.level for i in model), default=-1)
+        for interval, _ in entries + [(DyadicInterval(0, 0), 0), (DyadicInterval(6, 63), 0)]:
+            assert coeffs[interval] == model.get(interval, 0)
+        restricted = coeffs.restrict(level)
+        assert restricted.items() == sorted((i, a) for i, a in model.items() if i.level <= level)
+        assert restricted == CoefficientMap({i: a for i, a in model.items() if i.level <= level})
+        assert CoefficientMap.from_json_dict(coeffs.to_json_dict()) == coeffs
+        assert list(coeffs.nodes) == sorted((1 << i.level) + i.index for i in model)
+
+    def test_holds_no_fractions(self):
+        """No Fraction or DyadicInterval, neither its own nor its caller's:
+        three small ints per entry in narrow arrays, at most 16 bytes per
+        entry retained (a dict of Fractions kept 160, tuples of ints 62)."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            entries = [
+                (DyadicInterval(level, k), F(k % 7 - 3 or 1, 1 + k % 2))
+                for level in (8, 9)
+                for k in range(1 << level)
+            ]
+            coeffs = CoefficientMap(entries)
+            del entries
+            gc.collect()
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(coeffs) == 512 + 256
+        assert coeffs.nodes.typecode == "h" and coeffs.numerators.typecode == "b"
+        assert size / len(coeffs) <= 16
+
+    def test_sequences_pack_by_value(self):
+        # each sequence takes the narrowest signed type that holds it, and a
+        # tuple past 64 bits; equal maps pack alike, restricted ones too
+        wide = {DyadicInterval(0, 0): F(2**70, 3), DyadicInterval(4, 3): F(-1, 2)}
+        coeffs = CoefficientMap(wide)
+        assert coeffs.numerators == (2**70, -1)
+        assert coeffs.denominators.typecode == "b"
+        assert coeffs.nodes.typecode == "b"
+        narrow = CoefficientMap({DyadicInterval(4, 3): F(-1, 2)})
+        assert coeffs != narrow
+        assert coeffs.restrict(4) == coeffs and coeffs.restrict(3) != narrow
+        assert CoefficientMap(wide).restrict(-1) == CoefficientMap()
+        assert CoefficientMap({DyadicInterval(9, 0): F(300, 2**40 + 1)}).denominators.typecode == "q"
+        assert CoefficientMap({DyadicInterval(9, 0): 1}).nodes.typecode == "h"
+        deep_wide = CoefficientMap({DyadicInterval(0, 0): F(-1, 2), DyadicInterval(4, 3): F(2**70)})
+        assert deep_wide.restrict(3).numerators.typecode == "b"
+        assert deep_wide.restrict(3) == CoefficientMap({DyadicInterval(0, 0): F(-1, 2)})

@@ -395,7 +395,7 @@ class TestSearchExtremal:
 
     def test_kept_results_are_small(self):
         """A result at the benchmark's settings holds its set's ends (shared
-        endpoint Fractions), its history and a few scalars: at most 2.5 KB."""
+        endpoint Fractions), its ratios and a few scalars: at most 1.75 KB."""
 
         def cfg(k):
             return SearchConfig(
@@ -421,7 +421,7 @@ class TestSearchExtremal:
         finally:
             tracemalloc.stop()
         assert all(len(result.best_set.intervals) > 40 for result in kept)
-        assert size / len(kept) <= 2.5 * 1024
+        assert size / len(kept) <= 1.75 * 1024
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,20 @@ from haar_riesz.haar import PiecewiseConstant
 from haar_riesz.search import SplitMix64, derive_seed, random_stepset
 
 import conftest
-from conftest import fraction_split_failure, reference_verify_grid, step_sets
+from conftest import (
+    dyadic_intervals,
+    fraction_split_failure,
+    reference_induction_step_check,
+    reference_telescope_check,
+    reference_verify_grid,
+    reference_weight_mass,
+    reference_weight_profile,
+    reference_weighted_norm_sq,
+    step_sets,
+)
 from haar_riesz import weights
+from haar_riesz.counterexample import TWO_THIRDS_SET, zigzag_coefficients
+from haar_riesz.measure import FULL_SET
 from haar_riesz.weights import MAX_GRID, MAX_LEVEL, _split_failure
 
 TWO_THIRDS = StepSet(((0, F(2, 3)),))
@@ -337,12 +349,13 @@ class TestWeightedNormAndTelescope:
         )
         base, top = (weighted_norm_sq(region, coeffs, level, cfg) for level in (0, 5))
         levels = []
+        level_norm = weights._level_norm
 
-        def counted(region, coeffs, level, cfg):
+        def counted(level, *rest):
             levels.append(level)
-            return weighted_norm_sq(region, coeffs, level, cfg)
+            return level_norm(level, *rest)
 
-        monkeypatch.setattr(weights, "weighted_norm_sq", counted)
+        monkeypatch.setattr(weights, "_level_norm", counted)
         report = telescope_check(region, coeffs, cfg, top_level=5)
         assert levels == [0, 1, 2, 3, 4, 5]
         assert report.steps == expected_steps
@@ -465,7 +478,7 @@ def _non_convex(real):
 
 
 class TestVerifyGridReference:
-    @pytest.mark.parametrize("p", [F(171, 256), F(3, 4), F(7, 8), F(1)])
+    @pytest.mark.parametrize("p", [F(171, 256), F(43, 64), F(3, 4), F(7, 8), F(1)])
     @pytest.mark.parametrize("grid", [1, 2, 3, 7, 16, 33])
     def test_matches_fraction_route(self, p, grid):
         cfg = WeightConfig(p)
@@ -507,6 +520,180 @@ class TestVerifyGridReference:
                 assert holds == ((q1, q2) not in failed)
 
 
+# ---------------------------------------------------------------------------
+# the one-sweep integer route against the earlier Fraction routines
+
+
+REFERENCE_P = [F(171, 256), F(43, 64), F(3, 4), F(7, 8), F(1)]
+# TWO_THIRDS_SET and sets with dyadic and non-dyadic ends (denominators 3, 5, 7)
+reference_sets = st.one_of(
+    st.just(TWO_THIRDS_SET),
+    step_sets(denominators=(3, 5, 7, 8, 12, 16, 64)),
+)
+coefficient_values = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def induction_instances(draw):
+    """(region, cfg, coeffs, top): coefficients on levels ≤ top that are
+    empty, all zero, a sparse draw of any intervals (admissible or not) or a
+    sparse draw of admissible ones."""
+    region = draw(reference_sets)
+    p = draw(st.sampled_from(REFERENCE_P))
+    top = draw(st.integers(0, 7))
+    family = enumerate_family(top, region, p)
+    kind = draw(st.sampled_from(["empty", "all-zero", "any", "admissible"]))
+    if kind == "empty":
+        entries = []
+    elif kind == "all-zero":
+        entries = [(interval, 0) for interval in family or [DyadicInterval(top, 0)]]
+    elif kind == "any" or not family:
+        entries = draw(
+            st.lists(
+                st.tuples(dyadic_intervals(max_level=top), coefficient_values),
+                max_size=4,
+            )
+        )
+    else:
+        entries = draw(
+            st.lists(st.tuples(st.sampled_from(family), coefficient_values), max_size=8)
+        )
+    return region, WeightConfig(p), CoefficientMap(entries), top
+
+
+def _outcome(fn, *args):
+    """The result, or the InputError's text: both routes must agree on either."""
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return "InputError", str(exc)
+
+
+class TestAgainstReferences:
+    """Every result equals the earlier routine's (copied into conftest.py)."""
+
+    def test_weight_mass_on_a_grid(self):
+        for p in REFERENCE_P + [F(7, 10), F(13, 16), F(9, 10), F(2, 3) + F(1, 997)]:
+            cfg = WeightConfig(p)
+            for m in range(1, 25):
+                for n in range(m + 1):
+                    q = F(n, m)
+                    assert weight_mass(q, cfg) == reference_weight_mass(q, cfg)
+
+    @given(
+        st.fractions(min_value=F(2, 3), max_value=1, max_denominator=997),
+        st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    )
+    @example(F(3, 4), F(3, 4) - F(1, 10**6))  # just below p: linear branch
+    @settings(max_examples=300)
+    def test_weight_mass(self, p, q):
+        if p <= F(2, 3):
+            return
+        cfg = WeightConfig(p)
+        assert weight_mass(q, cfg) == reference_weight_mass(q, cfg)
+
+    @given(induction_instances())
+    @settings(max_examples=60)
+    def test_telescope_check(self, instance):
+        region, cfg, coeffs, top = instance
+        for top_level in (top, None):
+            assert _outcome(telescope_check, region, coeffs, cfg, top_level) == (
+                _outcome(reference_telescope_check, region, coeffs, cfg, top_level)
+            )
+
+    @given(induction_instances())
+    @settings(max_examples=40)
+    def test_weighted_norm_and_steps(self, instance):
+        region, cfg, coeffs, top = instance
+        for level in range(top + 1):
+            assert weighted_norm_sq(region, coeffs, level, cfg) == (
+                reference_weighted_norm_sq(region, coeffs, level, cfg)
+            )
+        for n in range(top):
+            assert _outcome(induction_step_check, region, coeffs, n, cfg) == (
+                _outcome(reference_induction_step_check, region, coeffs, n, cfg)
+            )
+
+    @given(reference_sets, st.integers(0, 7), st.sampled_from(REFERENCE_P))
+    @settings(max_examples=40)
+    def test_weight_profile(self, region, n, p):
+        cfg = WeightConfig(p)
+        assert weight_profile(region, n, cfg) == reference_weight_profile(region, n, cfg)
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_seeded_instances(self, i):
+        region, p, coeffs = _random_instance(i)
+        cfg = WeightConfig(p)
+        assert telescope_check(region, coeffs, cfg, 5) == (
+            reference_telescope_check(region, coeffs, cfg, 5)
+        )
+        for n in range(5):
+            assert induction_step_check(region, coeffs.restrict(n + 1), n, cfg) == (
+                reference_induction_step_check(region, coeffs.restrict(n + 1), n, cfg)
+            )
+
+    def test_zigzag_at_two_thirds_set(self):
+        # coefficients 1, 1, 2, 4 on the zig-zag's even stages; none is
+        # admissible past the root at p > 2/3, so both routes raise alike
+        coeffs = zigzag_coefficients(3)
+        for p in REFERENCE_P:
+            cfg = WeightConfig(p)
+            assert _outcome(telescope_check, TWO_THIRDS_SET, coeffs, cfg) == (
+                _outcome(reference_telescope_check, TWO_THIRDS_SET, coeffs, cfg)
+            )
+            for level in range(7):
+                assert weighted_norm_sq(TWO_THIRDS_SET, coeffs, level, cfg) == (
+                    reference_weighted_norm_sq(TWO_THIRDS_SET, coeffs, level, cfg)
+                )
+
+
+class TestSweepParts:
+    @given(reference_sets, st.integers(0, 7))
+    @settings(max_examples=40)
+    def test_cell_masses(self, region, deepest):
+        unit, counts = weights._cell_masses(region, deepest)
+        assert len(counts) == deepest + 1
+        for level, row in enumerate(counts):
+            assert [F(c, unit) for c in row] == [
+                intersect_measure(region, DyadicInterval(level, index))
+                for index in range(1 << level)
+            ]
+
+    @given(conftest.coefficient_maps(max_level=4))
+    @settings(max_examples=60)
+    def test_level_values_are_the_partial_sums(self, coeffs):
+        # the value on the left half is the parent's minus its coefficient
+        scale, terms = weights._scaled_levels(coeffs, 4)
+        for level, values in enumerate(weights._level_values(terms)):
+            partial = combination(coeffs.restrict(level), FULL_SET)
+            cells = 1 << (level + 1)
+            assert [F(v, scale) for v in values] == [
+                partial.value_at(F(j, cells)) for j in range(cells)
+            ]
+
+    def test_left_half_takes_minus(self):
+        coeffs = CoefficientMap({DyadicInterval(0, 0): F(1, 2)})
+        scale, terms = weights._scaled_levels(coeffs, 1)
+        assert scale == 2
+        assert list(weights._level_values(terms)) == [[-1, 1], [-1, -1, 1, 1]]
+
+    def test_curve_evaluated_once_per_distinct_mass(self, monkeypatch):
+        region = StepSet(((0, F(1, 3)), (F(1, 2), 1)))
+        coeffs = CoefficientMap({DyadicInterval(0, 0): F(1), DyadicInterval(1, 1): F(2)})
+        calls = []
+        real = weights.weight_mass
+
+        def counted(q, cfg):
+            calls.append(q)
+            return real(q, cfg)
+
+        monkeypatch.setattr(weights, "weight_mass", counted)
+        weighted_norm_sq(region, coeffs, 3, CFG34)
+        # the level-4 cells of [0, 1/3) ∪ [1/2, 1) have densities 1 (thirteen
+        # cells), 1/3 (one) and 0 (two, skipped)
+        assert sorted(calls) == [F(1, 3), F(1)]
+
+
 class _Reached(Exception):
     pass
 
@@ -531,7 +718,7 @@ class TestLevelCap:
 
     @pytest.fixture
     def unreachable(self, monkeypatch):
-        for name in ("weight_mass", "_partial_sum_values", "_step_rhs", "weighted_norm_sq"):
+        for name in ("weight_mass", "_cell_masses", "_step_rhs", "weighted_norm_sq"):
             monkeypatch.setattr(weights, name, _fail_if_reached)
 
     def test_weight_profile(self, unreachable):
@@ -542,7 +729,7 @@ class TestLevelCap:
             weight_profile(TWO_THIRDS, MAX_LEVEL, CFG34)
 
     def test_weighted_norm_sq(self, monkeypatch):
-        monkeypatch.setattr(weights, "_partial_sum_values", _fail_if_reached)
+        monkeypatch.setattr(weights, "_cell_masses", _fail_if_reached)
         coeffs = CoefficientMap({DyadicInterval(0, 0): F(1)})
         for level in (MAX_LEVEL + 1, 10**9):
             with pytest.raises(InputError):
