@@ -11,10 +11,11 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import InputError
-from .measure import DyadicInterval, StepSet, intersect_measure, measures_below
+from .measure import DyadicInterval, StepSet, dyadic_counts, intersect_measure
 from .rational import format_rational, parse_rational
 
 MAX_DEPTH = 16  # enumerate_family reads 2^depth + 1 masses: 65537 at the cap
+MAX_JSON_LEVEL = 400  # coefficient JSON read: the zig-zag stages of counterexample --n 200
 
 
 @dataclass(frozen=True)
@@ -237,14 +238,18 @@ class CoefficientMap:
             data = json.loads(data)
         if not isinstance(data, dict) or "coeffs" not in data:
             raise InputError('coefficient JSON must be {"coeffs": [{"level":..,"index":..,"a":".."}]}')
-        return cls(
-            (DyadicInterval(int(e["level"]), int(e["index"])), parse_rational(e["a"]))
-            for e in data["coeffs"]
-        )
+        return cls(map(_json_entry, data["coeffs"]))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{i}: {a}" for i, a in self.items())
         return f"CoefficientMap({{{body}}})"
+
+
+def _json_entry(entry: dict) -> Tuple[DyadicInterval, Fraction]:
+    level = int(entry["level"])
+    if level > MAX_JSON_LEVEL:
+        raise InputError(f"coefficient level must be <= {MAX_JSON_LEVEL}, got {level}")
+    return DyadicInterval(level, int(entry["index"])), parse_rational(entry["a"])
 
 
 _TYPECODES = ("b", "h", "i", "q")  # signed integers of 8, 16, 32 and 64 bits
@@ -366,10 +371,19 @@ def enumerate_family(depth: int, region: StepSet, p: Fraction) -> list[DyadicInt
     """All intervals of level ≤ depth whose density meets the threshold p.
 
     Uses the weak inequality density ≥ p (a coefficient is forced to zero only
-    by a strict shortfall), in (level, index) order.  Every level's masses are
-    differences of |E ∩ [0, k/2^depth)|, taken from one sweep of E.  Depths
-    past ``MAX_DEPTH`` are refused before anything is allocated.
+    by a strict shortfall), in (level, index) order: the members
+    :func:`admissible_nodes` reads off the set's :func:`dyadic_counts` table
+    at ``depth``.  Depths past ``MAX_DEPTH`` are refused before anything is
+    allocated.
     """
+    p = check_family_args(depth, p)
+    unit, counts = dyadic_counts(region, depth)
+    return [node_interval(v) for v in admissible_nodes(counts, unit, depth, p)]
+
+
+def check_family_args(depth: int, p) -> Fraction:
+    """p as a Fraction, once depth and p are checked for a family of level
+    ≤ depth at threshold p; nothing is allocated before the checks."""
     if depth < 0:
         raise InputError(f"depth must be >= 0, got {depth}")
     if depth > MAX_DEPTH:
@@ -377,16 +391,18 @@ def enumerate_family(depth: int, region: StepSet, p: Fraction) -> list[DyadicInt
     p = Fraction(p)
     if not 0 < p <= 1:
         raise InputError(f"threshold must satisfy 0 < p <= 1, got {p}")
-    scale = 1 << depth
-    below = measures_below(region, [Fraction(k, scale) for k in range(scale + 1)])
-    family = []
-    for level in range(depth + 1):
-        stride = 1 << (depth - level)
-        for index in range(1 << level):
-            mass = below[(index + 1) * stride] - below[index * stride]
-            if meets_density(mass.numerator, mass.denominator, level, p):
-                family.append(DyadicInterval(level, index))
-    return family
+    return p
+
+
+def admissible_nodes(counts: Sequence[int], unit: int, depth: int, p: Fraction) -> list[int]:
+    """The heap nodes 2^level + index of level ≤ depth whose density
+    counts[node]/unit / 2^-level meets p, in (level, index) order."""
+    return [
+        v
+        for level in range(depth + 1)
+        for v in range(1 << level, 2 << level)
+        if meets_density(counts[v], unit, level, p)
+    ]
 
 
 def meets_density(count: int, unit: int, level: int, p: Fraction) -> bool:

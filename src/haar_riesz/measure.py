@@ -2,7 +2,7 @@
 
 The set model is a canonical finite union of half-open intervals with
 rational endpoints inside [0,1).  Every measure and density computed here is
-an exact `Fraction`; nothing in this module rounds.
+an exact `Fraction` or integer count over a common unit; nothing rounds.
 """
 
 from __future__ import annotations
@@ -11,7 +11,9 @@ import json
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from math import lcm
+from operator import add
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import InputError
 from .rational import format_rational, parse_rational
@@ -37,9 +39,10 @@ class DyadicInterval:
     def __post_init__(self):
         if self.level < 0:
             raise InputError(f"dyadic level must be >= 0, got {self.level}")
-        if not 0 <= self.index < (1 << self.level):
+        # a shift of the index allocates nothing however deep the level
+        if self.index < 0 or self.index >> self.level:
             raise InputError(
-                f"dyadic index {self.index} out of range [0, {1 << self.level}) at level {self.level}"
+                f"dyadic index {self.index} out of range [0, 2^{self.level}) at level {self.level}"
             )
 
     @property
@@ -274,3 +277,34 @@ def measures_below(region: StepSet, points: Sequence[Fraction]) -> list[Fraction
 def density(region: StepSet, interval: DyadicInterval) -> Fraction:
     """The covered fraction |I ∩ E| / |I|, exactly; always in [0, 1]."""
     return intersect_measure(region, interval) / interval.measure
+
+
+def heap_sums(leaves: Sequence[int]) -> List[int]:
+    """The heap over 2^k leaf counts: node 2^level + index holds the sum of
+    the leaves under the level-``level`` interval ``index`` (the halves of
+    node v are 2v and 2v + 1), leaf i is node 2^k + i, and node 0 is 0.
+    """
+    width = len(leaves)
+    counts = [0] * width + list(leaves)
+    while width > 1:
+        row = counts[width : 2 * width]
+        width //= 2
+        counts[width : 2 * width] = map(add, row[0::2], row[1::2])
+    return counts
+
+
+def dyadic_counts(region: StepSet, deepest: int) -> Tuple[int, List[int]]:
+    """(unit, counts): |E ∩ I| = counts[2^level + index] / unit for every
+    dyadic interval I = (level, index) of level ≤ ``deepest``.
+
+    One :func:`measures_below` sweep at the ends of the level-``deepest``
+    cells gives that level; ``unit`` is the least common denominator of the
+    sweep's values, so every count is an integer, and each coarser node is
+    the sum of its halves (:func:`heap_sums`).  A level's counts are the
+    slice ``counts[1 << level : 2 << level]``.
+    """
+    scale = 1 << deepest
+    below = measures_below(region, [Fraction(k, scale) for k in range(scale + 1)])
+    unit = lcm(*(x.denominator for x in below))
+    ends = [x.numerator * (unit // x.denominator) for x in below]
+    return unit, heap_sums([right - left for left, right in zip(ends, ends[1:])])

@@ -1,31 +1,29 @@
 """Seeded randomized and greedy search for step sets with a low Riesz ratio.
 
-Candidates are cell sets at ``cell_resolution``, and each is scored on an
-integer cell-count tree (:class:`_CountTree`): admissibility, masses and
-slopes are read off the counts of its dyadic nodes, and a greedy flip
-updates one cell's subtree and ancestor chain.  The pencil's entries are
-written by the ancestor-chain walk that :func:`build_gram` uses
-(:func:`gram._chain_store`) and filled in by :func:`float_view`, so they have
-the bits :meth:`GramMatrix.as_float` gives.  The pencil splits into
-independent blocks under non-member ancestors, and its extremes are solved
-block by block; a memo that lives for one search keeps each solved block's
-extremes, so a flip re-solves only the blocks it changed (one, unless a
-member that leaves splits a block).  No candidate builds a Fraction Gram
-matrix; ties on the ratio are broken on the integer runs of the cells, and a
-StepSet is built only for the final winner or for a candidate that fails a
-spectral check.  :func:`pencil_extremes` is the reference the tree scores
-equal.
+Every route from (set, p, depth) reads one integer count table
+(:class:`_CountTree`): the set's masses on the dyadic nodes down to level
+depth + 1, as integers over one unit.  Admissibility, masses and slopes are
+read off it, and the pencil's entries are written by the ancestor-chain walk
+of :func:`build_gram` (:func:`gram._chain_store`).  :func:`pencil_extremes`
+and :func:`certified_lower_bound` fill the table from one sweep of a step
+set (:func:`measure.dyadic_counts`); a search fills it from a candidate's
+cells, and a greedy flip updates one cell's subtree and ancestor chain.  The
+float pencil divides the counts by the unit, which rounds as ``float`` of
+the Fraction does, so it has the bits :meth:`GramMatrix.as_float` gives.  Its
+extremes are solved block by block, and a memo that lives for one search
+keeps each solved block's extremes, so a flip re-solves only the blocks it
+changed.  No candidate builds a Fraction Gram matrix; ties on the ratio are
+broken on the integer runs of the cells, and a StepSet is built only for the
+final winner or for a candidate that fails a spectral check.
 
-The winner's certified lower bracket is taken on its count tree too: the
-exact pencil of its integer counts is G and D scaled alike by 2^unit, so
-every exact PSD verdict is the one on :func:`build_gram`'s Fractions.  The
-verdicts are monotone in the constant, and the search already knows the
-winner's float λ_min, so the exact checks start at its grid point and
-usually take two (that point and the next); the float only picks where to
-look and never decides.  :func:`certified_lower_bound`, the bisection of
-[0, 2] from any step set, is the reference this bracket equals bit for bit.
-All randomness flows through an explicit splitmix64 generator so results are
-reproducible bit for bit from the seed.
+The certified bracket bisects the exact pencil of the integer counts (G and
+D scaled alike by the unit, so every PSD verdict is the one on the
+Fractions).  The verdicts are monotone in the constant, so a search starts
+its winner's checks at its float λ_min and usually takes two; the float
+never decides.  The Fraction routes these values equal bit for bit are kept
+in the test suite (``tests/conftest.py``) as references.  All randomness
+flows through an explicit splitmix64 generator so results are reproducible
+bit for bit from the seed.
 """
 
 from __future__ import annotations
@@ -43,13 +41,11 @@ from .gram import (
     GramMatrix,
     _chain_store,
     _extreme_eigenvalues,
-    build_gram,
-    eig_bounds,
     float_view,
     psd_certificate,
 )
-from .haar import MAX_DEPTH, enumerate_family, meets_density
-from .measure import StepSet, cell_runs
+from .haar import admissible_nodes, check_family_args
+from .measure import StepSet, cell_runs, dyadic_counts, heap_sums
 
 _MASK64 = (1 << 64) - 1
 _FLOAT_TOL = 1e-8  # slack granted to the float eigensolver against exact bounds
@@ -133,12 +129,8 @@ class SearchConfig:
     density_bias: Optional[float] = None  # None: cycle through _BIAS_CYCLE
 
     def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
+        object.__setattr__(self, "p", check_family_args(self.depth, self.p))
         object.__setattr__(self, "seed", self.seed & _MASK64)
-        if self.depth < 0:
-            raise InputError(f"depth must be >= 0, got {self.depth}")
-        if self.depth > MAX_DEPTH:
-            raise InputError(f"depth must be <= {MAX_DEPTH}, got {self.depth}")
         if self.cell_resolution < 1:
             raise InputError(
                 f"cell resolution must be >= 1, got {self.cell_resolution}"
@@ -192,17 +184,19 @@ def pencil_extremes(
     """(λ_min, λ_max, family size) of the normalized pencil over the admissible
     family of level ≤ depth; (1.0, 1.0, 0) for an empty family.
 
-    This is the reference route, from any step set through
-    :func:`enumerate_family`, :func:`build_gram` and :func:`eig_bounds`; the
-    search scores its cell-set candidates on a count tree and gets these
-    values bit for bit.
+    Read off the set's count table, with the bits of :func:`eig_bounds` on
+    ``build_gram(family, region, normalized=True)``.
     """
-    family = enumerate_family(depth, region, p)
-    if not family:
-        return 1.0, 1.0, 0
-    gram = build_gram(family, region, normalized=True)
-    low, high = eig_bounds(gram)
-    return low, high, len(family)
+    tree, p = _table_tree(region, p, depth)
+    return tree.extremes(p)
+
+
+def _table_tree(region: StepSet, p: Fraction, depth: int) -> Tuple["_CountTree", Fraction]:
+    """(tree, p): the count table of a step set down to level depth + 1,
+    after the checks of :func:`enumerate_family`, and p as a Fraction."""
+    p = check_family_args(depth, p)
+    unit, counts = dyadic_counts(region, depth + 1)
+    return _CountTree(counts, unit, depth), p
 
 
 def min_ratio(region: StepSet, p: Fraction, depth: int) -> Tuple[float, int]:
@@ -227,18 +221,12 @@ def certified_lower_bound(
     Returns lo with the certificate exactly true at lo and exactly false at
     lo + width.  The bracket starts at [0, 2]: a Gram matrix is always PSD,
     and the normalized pencil has unit diagonal so its λ_min is at most 1.
-    Empty family: vacuously 1.
-
-    This is the reference route, from any step set through
-    :func:`enumerate_family` and :func:`build_gram`; a search brackets its
-    winner on its count tree and gets this value bit for bit.
+    Empty family: vacuously 1.  Decided on the set's count table
+    (:func:`_bracket`).
     """
-    step, top = _bracket_grid(width)
-    family = enumerate_family(depth, region, p)
-    if not family:
-        return Fraction(1)
-    gram = build_gram(family, region, normalized=False)
-    return step * _bisect(_certified_at(gram, step), 0, top)
+    grid = _bracket_grid(width)
+    tree, p = _table_tree(region, p, depth)
+    return _bracket(tree, p, grid)
 
 
 def _bracket_grid(width: Fraction) -> Tuple[Fraction, int]:
@@ -250,27 +238,6 @@ def _bracket_grid(width: Fraction) -> Tuple[Fraction, int]:
     while Fraction(2, top) > width:
         top *= 2
     return Fraction(2, top), top
-
-
-def _certified_at(gram: GramMatrix, step: Fraction):
-    """k ↦ the exact certificate G − k·step·D ⪰ 0, D the diagonal of G.
-
-    It is monotone: true at k implies true below k, since D ⪰ 0.
-    """
-    diag = gram.diagonal
-    return lambda k: psd_certificate(gram, k * step, diag)
-
-
-def _bisect(holds, lo: int, hi: int) -> int:
-    """The largest k in [lo, hi) with holds(k), for a monotone ``holds``
-    taken as true at lo and false at hi; neither end is asked."""
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def _gallop(holds, top: int, start: int) -> Tuple[int, int]:
@@ -291,26 +258,30 @@ def _gallop(holds, top: int, start: int) -> Tuple[int, int]:
     return max(hi - step, 0), hi
 
 
-def _tree_bracket(tree: "_CountTree", p: Fraction, guess: float) -> Fraction:
-    """:func:`certified_lower_bound` of the tree's set at the tree's depth,
-    bit for bit, on the exact pencil of its integer counts.
-
-    Masses and slopes in units of 2^−unit scale G and D alike by 2^unit,
-    which leaves every verdict G − cD ⪰ 0 unchanged, and the verdicts are
-    monotone in c, so any start finds the bisection's answer.  ``guess``, the
-    float λ_min, only picks the start ⌊guess/step⌋; a non-finite guess
-    bisects from [0, 2].
+def _bracket(
+    tree: "_CountTree", p: Fraction, grid: Tuple[Fraction, int], guess: float = math.nan
+) -> Fraction:
+    """The largest k·step on the grid (step, top) of :func:`_bracket_grid`
+    with G − k·step·D ⪰ 0 exactly, D the diagonal of G, on the pencil of the
+    tree's integer counts: G and D scaled alike by the unit, which leaves
+    every verdict unchanged.  The verdicts are monotone in k (D ⪰ 0), so any
+    start finds the bisection's answer: a finite ``guess``, the float λ_min,
+    only picks the start ⌊guess/step⌋; without one it bisects [0, 2].
     """
     family, (diagonal, lower) = tree.store(p)
     if not family:
         return Fraction(1)
-    step, top = _bracket_grid(_BRACKET_WIDTH)
-    holds = _certified_at(GramMatrix(diagonal, lower), step)
-    lo, hi = 0, top
+    step, top = grid
+    gram = GramMatrix(diagonal, lower)
+    holds = lambda k: psd_certificate(gram, k * step, diagonal)
+    lo, hi = 0, top  # true at 0, false at top; neither is asked
     if math.isfinite(guess):
         start = min(max(math.floor(Fraction(guess) / step), 0), top - 1)
         lo, hi = _gallop(holds, top, start)
-    return step * _bisect(holds, lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return step * lo
 
 
 def _floor_for(p: Fraction) -> Optional[float]:
@@ -326,85 +297,75 @@ def _draw_cells(resolution: int, density_bias: float, seed: int) -> List[bool]:
 
 
 class _CountTree:
-    """Covered-leaf counts of every dyadic node from level 0 to unit.
-
-    A candidate's cells at ``resolution`` fill the tree, each cell as
-    2^(unit − resolution) leaves; nodes are numbered as in a heap (node
-    (level, index) is 2^level + index, its halves are 2v and 2v + 1, its
-    parent v >> 1).  Counts are integers in units of 2^−unit,
-    unit = max(resolution, depth + 1), so a member's mass is its count and
-    its slope |rh ∩ E| − |lh ∩ E| is the difference of its halves' counts,
-    both exact and free of Fractions.
+    """A set's masses on every dyadic node down to level depth + 1 (or
+    deeper), as integer counts over one ``unit``: |I ∩ E| = counts[v] / unit
+    for node v = 2^level + index, numbered as in a heap (halves 2v and
+    2v + 1, parent v >> 1).  A member's mass is its count and its slope
+    |rh ∩ E| − |lh ∩ E| the difference of its halves' counts, exact and free
+    of Fractions.  :meth:`from_cells` builds the table of a candidate's cell
+    flags and keeps ``cells``, which :meth:`toggle` flips one at a time.
     """
 
-    __slots__ = ("cells", "resolution", "depth", "unit", "counts", "memo")
+    __slots__ = ("counts", "unit", "depth", "memo", "cells")
 
-    def __init__(self, cells: List[bool], depth: int, memo: Optional[dict] = None):
-        self.cells = cells
-        self.memo = memo
-        self.resolution = resolution = len(cells).bit_length() - 1
-        self.depth = depth
-        self.unit = unit = max(resolution, depth + 1)
-        leaves = list(map(int, cells))
-        for _ in range(unit - resolution):  # halve every cell down to the leaves
-            leaves = [present for present in leaves for _ in (0, 1)]
-        base = len(leaves)
-        self.counts = counts = [0] * base + leaves
-        for v in range(base - 1, 0, -1):
-            counts[v] = counts[2 * v] + counts[2 * v + 1]
+    def __init__(self, counts: List[int], unit: int, depth: int, memo: Optional[dict] = None):
+        self.counts, self.unit, self.depth, self.memo = counts, unit, depth, memo
+
+    @classmethod
+    def from_cells(cls, cells: List[bool], depth: int, memo: Optional[dict] = None):
+        """Each of the 2^resolution cells as 2^(leaf − resolution) leaves of
+        level leaf = max(resolution, depth + 1), in units of 2^−leaf."""
+        resolution = len(cells).bit_length() - 1
+        below = max(depth + 1 - resolution, 0)
+        leaves = [int(present) for present in cells for _ in range(1 << below)]
+        tree = cls(heap_sums(leaves), 1 << (resolution + below), depth, memo)
+        tree.cells = cells
+        return tree
 
     def toggle(self, cell: int):
         """Flip one cell: its subtree's nodes and its ancestor chain change
         by their counts of its leaves."""
         self.cells[cell] = present = not self.cells[cell]
         delta = 1 if present else -1
-        counts, below = self.counts, self.unit - self.resolution
-        v = (1 << self.resolution) | cell
-        for down in range(1, below + 1):
-            share = delta << (below - down)
+        resolution = len(self.cells).bit_length() - 1
+        counts, below = self.counts, self.unit.bit_length() - 1 - resolution
+        v = (1 << resolution) | cell
+        for down in range(below + 1):  # the cell's own node and its subtree
             for u in range(v << down, (v + 1) << down):
-                counts[u] += share
-        weight = delta << below
-        while v:
-            counts[v] += weight
+                counts[u] += delta << (below - down)
+        while v > 1:
             v >>= 1
+            counts[v] += delta << below
 
     def family(self, p: Fraction) -> List[int]:
         """The admissible nodes of level ≤ depth, in (level, index) order."""
-        counts, unit = self.counts, 1 << self.unit
-        return [
-            v
-            for level in range(self.depth + 1)
-            for v in range(1 << level, 2 << level)
-            if meets_density(counts[v], unit, level, p)
-        ]
+        return admissible_nodes(self.counts, self.unit, self.depth, p)
 
-    def store(self, p: Fraction, step=1) -> Tuple[List[int], tuple]:
+    def store(self, p: Fraction, unit: Optional[int] = None) -> Tuple[List[int], tuple]:
         """The admissible family and its Gram store (diagonal, lower), written
-        by the ancestor-chain walk of :func:`build_gram`
-        (:func:`gram._chain_store`) from the masses and slopes in units of
-        ``step``: the counts times step.  With the default, integer counts:
-        the store of ``build_gram`` times 2^unit."""
+        by :func:`build_gram`'s walk (:func:`gram._chain_store`) from each
+        member's mass and slope in counts (the store of ``build_gram`` times
+        the unit) or, given ``unit``, each divided by it into a float."""
         counts = self.counts
         family = self.family(p)
-        return family, _chain_store(
-            family,
-            [counts[v] * step for v in family],
-            [(counts[2 * v + 1] - counts[2 * v]) * step for v in family],
-        )
+        mass = [counts[v] for v in family]
+        slope = [counts[2 * v + 1] - counts[2 * v] for v in family]
+        if unit is not None:
+            mass, slope = [m / unit for m in mass], [s / unit for s in slope]
+        return family, _chain_store(family, mass, slope)
 
     def pencil(self, p: Fraction) -> Tuple[List[int], np.ndarray]:
         """The admissible family and the float view of its normalized Gram
-        matrix, entry for entry the bits of ``build_gram(..., True).as_float()``.
-
-        The store of the counts times 2^−unit, exact in float64, goes through
-        the fill of :meth:`GramMatrix.as_float` (:func:`float_view`).
-        """
-        family, (diagonal, lower) = self.store(p, 2.0 ** -self.unit)
+        matrix, entry for entry the bits of ``build_gram(..., True).as_float()``:
+        int/int division rounds correctly, as ``float`` of the Fraction does,
+        and the store goes through the fill of :meth:`GramMatrix.as_float`
+        (:func:`float_view`)."""
+        family, (diagonal, lower) = self.store(p, self.unit)
         return family, float_view(diagonal, lower, normalized=True)
 
     def extremes(self, p: Fraction) -> Tuple[float, float, int]:
-        """:func:`pencil_extremes` of the candidate, bit for bit.
+        """(λ_min, λ_max, family size) of the normalized pencil; (1.0, 1.0, 0)
+        for an empty family.
 
         The pencil is solved block by block; with a ``memo`` (one per search),
         a block a flip left unchanged is read from it, not solved again.  A
@@ -470,7 +431,7 @@ def _search_random(
             _bias_for(cfg, iteration),
             derive_seed(cfg.seed, iteration),
         )
-        ratio, size = _score(_CountTree(cells, cfg.depth, memo), cfg, floor, ceiling)
+        ratio, size = _score(_CountTree.from_cells(cells, cfg.depth, memo), cfg, floor, ceiling)
         ratios.append(ratio)
         best = _offer(best, ratio, size, cells)
     return best, ratios
@@ -485,7 +446,7 @@ def _search_greedy(
     def fresh_tree(restart: int) -> _CountTree:
         seed = derive_seed(cfg.seed, _GREEDY_RESTART_STREAM + restart)
         cells = _draw_cells(cfg.cell_resolution, _bias_for(cfg, restart), seed)
-        return _CountTree(cells, cfg.depth, memo)
+        return _CountTree.from_cells(cells, cfg.depth, memo)
 
     restarts = 0
     tree = fresh_tree(restarts)
@@ -525,7 +486,7 @@ def search_extremal(cfg: SearchConfig) -> SearchResult:
     ``ratios`` keeps one entry per iteration.  Every evaluated ratio is
     checked against the certified theorem floor.  The returned record
     carries an exact certified bracket for the winning set, equal to
-    :func:`certified_lower_bound` of it, taken on its count tree.
+    :func:`certified_lower_bound` of it, its checks started at its ratio.
 
     The extremes of every pencil block solved are kept, keyed by the block's
     bytes, for the length of this call only, so a flip re-solves only the
@@ -538,11 +499,11 @@ def search_extremal(cfg: SearchConfig) -> SearchResult:
     cells = [False] * (1 << cfg.cell_resolution)
     for a, b in runs:
         cells[a:b] = [True] * (b - a)
-    certificate = _tree_bracket(_CountTree(cells, cfg.depth), cfg.p, ratio)
+    tree = _CountTree.from_cells(cells, cfg.depth)
     return SearchResult(
         best_set=StepSet.from_runs(runs, len(cells)),
         best_ratio=ratio,
         family_size=size,
-        certificate_lower=certificate,
+        certificate_lower=_bracket(tree, cfg.p, _bracket_grid(_BRACKET_WIDTH), ratio),
         ratios=tuple(ratios),
     )

@@ -14,12 +14,13 @@ The curve is evaluated from integers: with p = a/b and q = n/m in lowest
 terms it is (D + a(2b−a)m)/D with D = (3a−2b)(3am−2bn) for q ≥ p, and
 2bn/((3a−2b)m) below p, one Fraction normalisation each.
 
-Every cell mass comes from one route, :func:`_cell_masses`: one sweep of the
-set at the ends of the deepest cells, in integer units of the sweep's common
-denominator, each coarser level's masses the pairwise sums of the level
-below.  The values of a partial Haar sum on the cells come from one
-top-down walk, :func:`_level_values`, in integer units of the coefficients'
-common denominator: a cell's value is its parent's value minus the parent's
+Every cell mass comes from one table, :func:`measure.dyadic_counts`: one
+sweep of the set at the ends of the deepest cells, in integer units of the
+sweep's common denominator, heap-numbered, each coarser node the sum of its
+halves; a level's masses are its slice ``counts[1 << level : 2 << level]``.
+The values of a partial Haar sum on the cells come from one top-down walk,
+:func:`_level_values`, in integer units of the coefficients' common
+denominator: a cell's value is its parent's value minus the parent's
 coefficient on the left half and plus it on the right.  A level's weighted
 norm, :func:`_level_norm`, sums the squared values per cell mass and
 evaluates the curve once per distinct mass.
@@ -34,7 +35,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import InputError
 from .haar import MAX_DEPTH, CoefficientMap, halves, meets_density, node_interval
-from .measure import DyadicInterval, StepSet, measures_below
+from .measure import DyadicInterval, StepSet, dyadic_counts, measures_below
 
 _TWO_THIRDS = Fraction(2, 3)
 
@@ -208,10 +209,10 @@ def weight_profile(region: StepSet, n: int, cfg: WeightConfig) -> WeightProfile:
         raise InputError(f"need n >= 0, got {n}")
     _check_level(n)
     cell_level = n + 1
-    unit, counts = _cell_masses(region, cell_level)
+    unit, counts = dyadic_counts(region, cell_level)
     by_mass = {0: weight_mass(cfg.p, cfg) / cfg.p}
     values: Dict[DyadicInterval, Fraction] = {}
-    for index, c in enumerate(counts[cell_level]):
+    for index, c in enumerate(_level(counts, cell_level)):
         if c not in by_mass:
             q = Fraction(c << cell_level, unit)
             by_mass[c] = weight_mass(q, cfg) / q
@@ -219,26 +220,9 @@ def weight_profile(region: StepSet, n: int, cfg: WeightConfig) -> WeightProfile:
     return WeightProfile(cell_level, values)
 
 
-def _cell_masses(region: StepSet, deepest: int) -> Tuple[int, List[List[int]]]:
-    """(unit, counts): |E ∩ I| = counts[level][index] / unit for every dyadic
-    interval I of level ≤ ``deepest``.
-
-    One :func:`measures_below` sweep at the ends of the level-``deepest``
-    cells gives that level; ``unit`` is the least common denominator of the
-    sweep's values, and each coarser level is the pairwise sums of the level
-    below it.
-    """
-    scale = 1 << deepest
-    below = measures_below(region, [Fraction(k, scale) for k in range(scale + 1)])
-    unit = lcm(*(x.denominator for x in below))
-    ends = [x.numerator * (unit // x.denominator) for x in below]
-    level = [right - left for left, right in zip(ends, ends[1:])]
-    counts = [level]
-    while len(level) > 1:
-        level = [left + right for left, right in zip(level[0::2], level[1::2])]
-        counts.append(level)
-    counts.reverse()
-    return unit, counts
+def _level(counts: List[int], level: int) -> List[int]:
+    """One level's masses from a :func:`dyadic_counts` heap, in index order."""
+    return counts[1 << level : 2 << level]
 
 
 def _scaled_levels(
@@ -330,10 +314,10 @@ def weighted_norm_sq(
     _check_level(level)
     if level < 0:
         return Fraction(0)
-    unit, counts = _cell_masses(region, level + 1)
+    unit, counts = dyadic_counts(region, level + 1)
     scale, terms = _scaled_levels(coeffs, level)
     *_, values = _level_values(terms)
-    return _level_norm(level, values, counts[level + 1], unit, scale, cfg)
+    return _level_norm(level, values, _level(counts, level + 1), unit, scale, cfg)
 
 
 class StepResult(NamedTuple):
@@ -358,14 +342,14 @@ def induction_step_check(
     _check_level(n + 1)
     if n < 0:
         raise InputError(f"need n >= 0, got {n}")
-    unit, counts = _cell_masses(region, n + 2)
+    unit, counts = dyadic_counts(region, n + 2)
     scale, terms = _scaled_levels(coeffs, n + 1)
-    rhs = _step_rhs(n + 1, terms[n + 1], counts[n + 1], unit, cfg)
+    rhs = _step_rhs(n + 1, terms[n + 1], _level(counts, n + 1), unit, cfg)
     if coeffs.max_level() > n + 1:
         deeper = node_interval(coeffs.nodes[sum(map(len, terms))])
         raise InputError(f"coefficient on {deeper} lies below level {n + 1}")
     norms = [
-        _level_norm(level, values, counts[level + 1], unit, scale, cfg)
+        _level_norm(level, values, _level(counts, level + 1), unit, scale, cfg)
         for level, values in enumerate(_level_values(terms))
         if level >= n
     ]
@@ -428,25 +412,27 @@ def telescope_check(
 
     Summing base + steps telescopes exactly into the weighted inequality
     ‖Σ a_I h_I 1_E‖²_{w_k} ≥ Σ ‖a_I h_I 1_E‖²; the report records both sides
-    and whether the telescoping identity is exact.
+    and whether the telescoping identity is exact.  ``top_level`` defaults
+    to the deepest coefficient's level (0 without coefficients); a negative
+    one is refused.
     """
-    k = coeffs.max_level() if top_level is None else top_level
-    if k < 0:
-        k = 0
+    if top_level is not None and top_level < 0:
+        raise InputError(f"top level must be >= 0, got {top_level}")
+    k = max(coeffs.max_level(), 0) if top_level is None else top_level
     if coeffs.max_level() > k:
         raise InputError(f"coefficients extend past level {k}")
     _check_level(k)
-    unit, counts = _cell_masses(region, k + 1)
+    unit, counts = dyadic_counts(region, k + 1)
     scale, terms = _scaled_levels(coeffs, k)
     # every level's Σ a²·|I∩E|, each new level checked for admissibility in
     # turn, then every level's norm once: the new side of step n−1 and the
     # old side of step n
     rhs = [
-        _step_rhs(level, terms[level], counts[level], unit, cfg)
+        _step_rhs(level, terms[level], _level(counts, level), unit, cfg)
         for level in range(k + 1)
     ]
     norms = [
-        _level_norm(level, values, counts[level + 1], unit, scale, cfg)
+        _level_norm(level, values, _level(counts, level + 1), unit, scale, cfg)
         for level, values in enumerate(_level_values(terms))
     ]
     den = scale * scale * unit

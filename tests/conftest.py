@@ -18,6 +18,7 @@ from haar_riesz.gram import (
     GramMatrix,
     _jacobi,
     build_gram,
+    eig_bounds,
     psd_certificate,
 )
 from haar_riesz.haar import PiecewiseConstant, enumerate_family, haar_function
@@ -190,6 +191,21 @@ def reference_extreme_eigenvalues(matrix):
     return float(diag.min()), float(diag.max())
 
 
+def reference_pencil_extremes(region: StepSet, p: Fraction, depth: int):
+    """Reference (λ_min, λ_max, family size) of the normalized pencil: the
+    Fraction route through enumerate_family, build_gram and eig_bounds.
+
+    The library's earlier body, kept here unchanged as a differential
+    reference for the pencil read off a count table.
+    """
+    family = enumerate_family(depth, region, p)
+    if not family:
+        return 1.0, 1.0, 0
+    gram = build_gram(family, region, normalized=True)
+    low, high = eig_bounds(gram)
+    return low, high, len(family)
+
+
 def reference_certified_lower_bound(
     region: StepSet, p: Fraction, depth: int, width: Fraction = Fraction(1, 1 << 20)
 ) -> Fraction:
@@ -197,7 +213,7 @@ def reference_certified_lower_bound(
     Fraction Gram matrix of the set's admissible family.
 
     The library's earlier loop, kept here unchanged as a differential
-    reference for the bracket a search takes on its count tree.
+    reference for the bracket taken on a count table.
     """
     family = enumerate_family(depth, region, p)
     if not family:

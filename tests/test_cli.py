@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -332,6 +336,56 @@ class TestResourceCaps:
         args += ["--p", "3/4", "--levels", str(weights.MAX_LEVEL + 1)]
         assert run(args) == 2
         assert "level" in capsys.readouterr().err
+
+    def test_negative_induction_levels(self, capsys, two_thirds_file, tmp_path):
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps(CoefficientMap().to_json_dict()))
+        args = ["induction-check", "--set", two_thirds_file, "--coeffs", str(coeffs)]
+        args += ["--p", "3/4"]
+        assert run(args + ["--levels", "-7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "top level must be >= 0, got -7" in captured.err
+        assert run(args) == 0  # no coefficients and no --levels: level 0
+        assert json.loads(capsys.readouterr().out)["top_level"] == 0
+
+    @pytest.mark.parametrize("level", [17, 400])
+    def test_coefficient_levels_past_the_cap_keep_their_message(
+        self, capsys, two_thirds_file, tmp_path, level
+    ):
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps({"coeffs": [{"level": level, "index": 0, "a": "1"}]}))
+        args = ["induction-check", "--set", two_thirds_file, "--coeffs", str(coeffs)]
+        assert run(args + ["--p", "3/4"]) == 2
+        assert f"input error: level must be <= 16, got {level}" in capsys.readouterr().err
+
+    def test_deep_coefficient_level_exits_before_allocating(self, two_thirds_file, tmp_path):
+        """Level 10^12 exits 2 with a small peak-RSS growth.  The check runs
+        in a child process whose address space is capped, so a route that
+        built 1 << level would fail there and not strain the machine."""
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps({"coeffs": [{"level": 10**12, "index": 0, "a": "1"}]}))
+        script = (
+            "import resource, sys\n"
+            "from haar_riesz.cli import run\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "code = run(['induction-check', '--set', sys.argv[1], '--coeffs', sys.argv[2],"
+            " '--p', '3/4'])\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(code, after - before)\n"
+        )
+        src = str(Path(__import__("haar_riesz").__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        child = subprocess.run(
+            [sys.executable, "-c", script, two_thirds_file, str(coeffs)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert "coefficient level must be <= 400" in child.stderr
+        code, growth_kib = map(int, child.stdout.split())
+        assert code == 2
+        assert growth_kib < 8 * 1024
 
     def test_search_resolution_cap(self):
         from haar_riesz.search import MAX_RESOLUTION

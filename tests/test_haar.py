@@ -33,7 +33,8 @@ from conftest import (
 )
 from haar_riesz import haar
 from haar_riesz.counterexample import zigzag_coefficients
-from haar_riesz.haar import MAX_DEPTH, meets_density
+from haar_riesz.counterexample import MAX_TABLE_N
+from haar_riesz.haar import MAX_DEPTH, MAX_JSON_LEVEL, meets_density
 
 TWO_THIRDS = StepSet(((0, F(2, 3)),))
 FULL = StepSet(((0, 1),))
@@ -278,7 +279,7 @@ class TestEnumerateFamily:
         def reached(*args):
             raise AssertionError("the sweep over 2^depth points was reached")
 
-        monkeypatch.setattr(haar, "measures_below", reached)
+        monkeypatch.setattr(haar, "dyadic_counts", reached)
         for depth in (MAX_DEPTH + 1, 10**9):
             with pytest.raises(InputError):
                 enumerate_family(depth, FULL, F(1, 2))
@@ -329,6 +330,32 @@ class TestCoefficientMap:
         assert CoefficientMap([(interval, 0), (interval, F(3, 4))])[interval] == F(3, 4)
         kept = CoefficientMap([(interval, 1), (other, 5), (interval, 0), (other, -1)])
         assert kept.items() == [(other, F(-1))]
+
+    def test_json_level_cap(self):
+        # every zig-zag map a counterexample table builds round-trips
+        assert MAX_JSON_LEVEL >= 2 * MAX_TABLE_N
+        deepest = zigzag_coefficients(MAX_TABLE_N)
+        assert deepest.max_level() == 2 * MAX_TABLE_N
+        assert CoefficientMap.from_json_dict(deepest.to_json_dict()) == deepest
+        at_cap = {"coeffs": [{"level": MAX_JSON_LEVEL, "index": 3, "a": "1/2"}]}
+        assert CoefficientMap.from_json_dict(at_cap).max_level() == MAX_JSON_LEVEL
+        for level in (MAX_JSON_LEVEL + 1, 10**9):
+            data = {"coeffs": [{"level": 0, "index": 0, "a": "1"}]}
+            data["coeffs"].append({"level": level, "index": 0, "a": "1"})
+            with pytest.raises(InputError, match=f"coefficient level must be <= {MAX_JSON_LEVEL}"):
+                CoefficientMap.from_json_dict(data)
+
+    def test_json_level_cap_allocates_nothing(self):
+        # a map keyed by 1 << level would take 125 MB at level 10^9
+        data = json.dumps({"coeffs": [{"level": 10**9, "index": 0, "a": "1"}]})
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError):
+                CoefficientMap.from_json_dict(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_duplicate_keys_in_json(self):
         entries = [

@@ -15,9 +15,10 @@ from haar_riesz import (
     intersect_measure,
     normalize,
 )
-from haar_riesz.haar import halves
+from haar_riesz.haar import halves, node_interval
 from haar_riesz import measure
-from haar_riesz.measure import cell_runs, measures_below
+from haar_riesz.counterexample import TWO_THIRDS_SET
+from haar_riesz.measure import cell_runs, dyadic_counts, heap_sums, measures_below
 
 from conftest import clip_stepset, dyadic_intervals, step_sets
 
@@ -299,6 +300,71 @@ class TestMeasuresBelow:
         ]
 
 
+class TestDyadicCounts:
+    def test_heap_sums(self):
+        assert heap_sums([1, 2, 3, 4]) == [0, 10, 3, 7, 1, 2, 3, 4]
+        assert heap_sums([5]) == [0, 5]
+        assert heap_sums([0, 7]) == [0, 7, 0, 7]
+
+    def test_unit_is_the_common_denominator(self):
+        # |E ∩ [0, k/4)| for E = [0, 1/3) reads 0, 1/4, 1/3, 1/3, 1/3
+        unit, counts = dyadic_counts(StepSet(((0, F(1, 3)),)), 2)
+        assert unit == 12
+        assert counts == [0, 4, 4, 0, 3, 1, 0, 0]
+        assert dyadic_counts(StepSet(((0, 1),)), 1) == (2, [0, 2, 1, 1])
+        assert dyadic_counts(StepSet(()), 1) == (1, [0, 0, 0, 0])
+
+    @given(
+        st.one_of(st.just(TWO_THIRDS_SET), step_sets(denominators=(3, 5, 7, 15, 21))),
+        st.integers(0, 7),
+    )
+    @settings(max_examples=60)
+    def test_every_node_is_its_exact_mass(self, region, deepest):
+        unit, counts = dyadic_counts(region, deepest)
+        assert len(counts) == 2 << deepest and counts[0] == 0
+        assert all(type(c) is int for c in counts)
+        for v in range(1, 2 << deepest):
+            assert F(counts[v], unit) == intersect_measure(region, node_interval(v))
+
+    def test_two_thirds_set_deep(self):
+        unit, counts = dyadic_counts(TWO_THIRDS_SET, 10)
+        assert unit == 3 << 10
+        for v in range(1, 2 << 10, 37):
+            assert F(counts[v], unit) == intersect_measure(TWO_THIRDS_SET, node_interval(v))
+
+
+class TestSweepCallSites:
+    def test_measures_below_has_three_callers(self):
+        """One table sweep, the Gram matrix's sparse sweep at its members'
+        own points, and the single-cell check: no other route sweeps a set."""
+        import ast
+        from pathlib import Path
+
+        class Callers(ast.NodeVisitor):
+            def __init__(self):
+                self.stack = ["<module>"]
+                self.found = []
+
+            def visit_FunctionDef(self, node):
+                self.stack.append(node.name)
+                self.generic_visit(node)
+                self.stack.pop()
+
+            visit_AsyncFunctionDef = visit_FunctionDef
+
+            def visit_Call(self, node):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "measures_below":
+                    self.found.append(self.stack[-1])
+                self.generic_visit(node)
+
+        callers = Callers()
+        for path in sorted(Path(measure.__file__).parent.glob("*.py")):
+            callers.visit(ast.parse(path.read_text()))
+        assert sorted(callers.found) == ["build_gram", "dyadic_counts", "per_interval_check"]
+
+
 class TestDensity:
     def test_paper_values(self):
         region = StepSet(((0, F(2, 3)),))
@@ -325,6 +391,23 @@ class TestDyadicInterval:
             DyadicInterval(-1, 0)
         with pytest.raises(InputError):
             DyadicInterval(2, 4)
+        with pytest.raises(InputError):
+            DyadicInterval(2, -1)
+        assert DyadicInterval(2, 3).index == 3
+
+    def test_deep_level_allocates_nothing(self):
+        # the index check is a shift of the index, never 1 << level; at level
+        # 10^9 that would be 125 MB, enough to show and small enough to survive
+        tracemalloc.start()
+        try:
+            deep = DyadicInterval(10**9, 5)
+            with pytest.raises(InputError, match="2\\^1000000000\\)"):
+                DyadicInterval(10**9, -1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert deep.index == 5
+        assert peak < 64 * 1024
 
     def test_containment(self):
         assert DyadicInterval(0, 0).contains(DyadicInterval(3, 5))

@@ -32,12 +32,19 @@ from haar_riesz import (
     splitmix64,
 )
 from haar_riesz import gram as gram_module
+from haar_riesz.cli import run
+from haar_riesz import haar as haar_module
 from haar_riesz import search
 from haar_riesz.counterexample import TWO_THIRDS_SET
 from haar_riesz.haar import MAX_DEPTH, halves
 from haar_riesz.search import MAX_RESOLUTION, _CountTree, _draw_cells
 
-from conftest import matrix_components, reference_certified_lower_bound
+from conftest import (
+    matrix_components,
+    reference_certified_lower_bound,
+    reference_pencil_extremes,
+    step_sets,
+)
 
 FULL = StepSet(((0, 1),))
 
@@ -152,7 +159,7 @@ class TestCertifiedLowerBound:
         def unreachable(*args):
             raise AssertionError("work done before the width was checked")
 
-        for name in ("enumerate_family", "build_gram", "psd_certificate"):
+        for name in ("dyadic_counts", "psd_certificate"):
             monkeypatch.setattr(search, name, unreachable)
         with pytest.raises(InputError, match="width"):
             certified_lower_bound(FULL, F(1, 2), 3, width)
@@ -166,14 +173,71 @@ class TestCertifiedLowerBound:
         ) == reference_certified_lower_bound(region, p, 4, width)
 
 
+TABLE_PS = [F(1, 2), F(2, 3), F(43, 64), F(3, 4)]
+
+
+def assert_table_routes_match(region, p, depth):
+    """pencil_extremes and certified_lower_bound, read off the set's count
+    table, equal the Fraction routes kept as references, bit for bit."""
+    low, high, size = pencil_extremes(region, p, depth)
+    ref_low, ref_high, ref_size = reference_pencil_extremes(region, p, depth)
+    assert (low.hex(), high.hex(), size) == (ref_low.hex(), ref_high.hex(), ref_size)
+    assert min_ratio(region, p, depth) == (low, size)
+    assert certified_lower_bound(region, p, depth) == reference_certified_lower_bound(
+        region, p, depth
+    )
+
+
+class TestTableRoutes:
+    """The count table of any step set gives the Fraction routes' values."""
+
+    @given(
+        step_sets(denominators=(3, 5, 7, 9, 15, 21, 64)),
+        st.sampled_from(TABLE_PS),
+        st.integers(0, 6),
+    )
+    @settings(max_examples=120)
+    def test_non_dyadic_sets(self, region, p, depth):
+        assert_table_routes_match(region, p, depth)
+
+    @pytest.mark.parametrize("depth", [4, 8])
+    @pytest.mark.parametrize("p", [F(2, 3), F(43, 64)])
+    def test_two_thirds_set(self, depth, p):
+        assert_table_routes_match(TWO_THIRDS_SET, p, depth)
+
+    def test_table_reaches_one_level_past_the_family(self, monkeypatch):
+        depths = []
+        sweep = search.dyadic_counts
+
+        def recorded(region, deepest):
+            depths.append(deepest)
+            return sweep(region, deepest)
+
+        monkeypatch.setattr(search, "dyadic_counts", recorded)
+        pencil_extremes(TWO_THIRDS_SET, F(1, 2), 3)
+        certified_lower_bound(TWO_THIRDS_SET, F(1, 2), 5)
+        assert depths == [4, 6]
+
+    @pytest.mark.parametrize("depth,p", [(-1, F(1, 2)), (MAX_DEPTH + 1, F(1, 2)), (2, F(0))])
+    def test_arguments_checked_before_the_sweep(self, monkeypatch, depth, p):
+        def unreachable(*args):
+            raise AssertionError("the set was swept")
+
+        monkeypatch.setattr(search, "dyadic_counts", unreachable)
+        for route in (pencil_extremes, certified_lower_bound):
+            with pytest.raises(InputError):
+                route(FULL, p, depth)
+
+
 def bracket_case(cells, depth, p, guess=None):
     """The count-tree bracket of a cell set and the reference bisection's;
     the guess defaults to the tree's float λ_min, as in a search."""
-    tree = _CountTree(list(cells), depth)
+    tree = _CountTree.from_cells(list(cells), depth)
     if guess is None:
         guess = tree.extremes(p)[0]
     reference = reference_certified_lower_bound(StepSet.from_cells(cells), p, depth)
-    return search._tree_bracket(tree, p, guess), reference
+    grid = search._bracket_grid(F(1, 1 << 20))
+    return search._bracket(tree, p, grid, guess), reference
 
 
 BRACKET_PS = [F(1, 2), F(2, 3), F(43, 64), F(3, 4), F(1)]
@@ -204,7 +268,7 @@ class TestTreeBracket:
         if p == 1:  # only the full set holds the root at p = 1
             return
         dense = _draw_cells(6, 0.9, derive_seed(0xDE5E, p.denominator))
-        tree = _CountTree(list(dense), 4)
+        tree = _CountTree.from_cells(list(dense), 4)
         assert 1 in tree.family(p)  # the root is a member
         tree_value, reference = bracket_case(dense, 4, p)
         assert tree_value == reference < 1
@@ -221,7 +285,7 @@ class TestTreeBracket:
     ])
     def test_any_guess_gives_the_same_bracket(self, offset, depth, resolution, p, bias):
         cells = _draw_cells(resolution, bias, derive_seed(0x6E55, depth))
-        low = _CountTree(list(cells), depth).extremes(p)[0]
+        low = _CountTree.from_cells(list(cells), depth).extremes(p)[0]
         guess = {
             "zero": 0.0,
             "top": 2.0 - GRID_STEP,
@@ -366,6 +430,14 @@ class TestSearchExtremal:
                 p=F(3, 4), depth=MAX_DEPTH + 1, cell_resolution=6, iterations=1, seed=0
             )
 
+    @pytest.mark.parametrize("p", [F(0), F(-1, 2), F(3, 2)])
+    def test_threshold_outside_the_unit_interval(self, p):
+        # p = 0 used to reach 1/p in search_extremal and raise ZeroDivisionError
+        with pytest.raises(InputError, match="threshold"):
+            SearchConfig(p=p, depth=2, cell_resolution=4, iterations=1, seed=0)
+        assert run(["search", "--p", str(p), "--depth", "2", "--resolution", "4",
+                    "--iters", "1", "--seed", "0"]) == 2
+
     def test_greedy_restart_set_can_win(self):
         # 150 iterations restart several times; before restarts were compared
         # with the best set this reported 0.6097603 while a restart set scored
@@ -437,10 +509,10 @@ def node_interval(v):
 def tree_gram(tree, p):
     """Exact Gram matrix read off the tree's counts (test-side).
 
-    Masses and slopes are the tree's integers times 2^-unit; the sign of a
+    Masses and slopes are the tree's integers over its unit; the sign of a
     nested entry comes from ``halves``, not from the bits of a heap number.
     """
-    unit = F(1, 1 << tree.unit)
+    unit = F(1, tree.unit)
     counts = tree.counts
     family = tree.family(p)
     members = [node_interval(v) for v in family]
@@ -464,7 +536,7 @@ def tree_gram(tree, p):
 def assert_tree_matches_reference(tree, p):
     """Family, masses, slopes, float pencil and extremes of one candidate equal
     the StepSet route's (``enumerate_family``, ``build_gram``,
-    ``pencil_extremes``), bit for bit."""
+    ``reference_pencil_extremes``), bit for bit."""
     region = StepSet.from_cells(tree.cells)
     depth = tree.depth
     family = enumerate_family(depth, region, p)
@@ -483,7 +555,7 @@ def assert_tree_matches_reference(tree, p):
         reference = build_gram(family, region, normalized=True).as_float()
         assert matrix.tobytes() == reference.tobytes()
     low, high, size = tree.extremes(p)
-    ref_low, ref_high, ref_size = pencil_extremes(region, p, depth)
+    ref_low, ref_high, ref_size = reference_pencil_extremes(region, p, depth)
     assert (low.hex(), high.hex(), size) == (ref_low.hex(), ref_high.hex(), ref_size)
 
 
@@ -531,27 +603,27 @@ class TestCountTree:
     @pytest.mark.parametrize("depth,resolution", TREE_REGIMES)
     def test_flip_and_revert_equal_a_fresh_build(self, depth, resolution):
         cells = _draw_cells(resolution, 0.6, derive_seed(5, resolution))
-        tree = _CountTree(list(cells), depth)
+        tree = _CountTree.from_cells(list(cells), depth)
         flips = flip_sequence(resolution, 40)
         for cell in flips:
             tree.toggle(cell)
-            assert tree.counts == _CountTree(list(tree.cells), depth).counts
+            assert tree.counts == _CountTree.from_cells(list(tree.cells), depth).counts
         for cell in reversed(flips):
             tree.toggle(cell)
         assert tree.cells == cells
-        assert tree.counts == _CountTree(list(cells), depth).counts
+        assert tree.counts == _CountTree.from_cells(list(cells), depth).counts
 
     def test_root_dense_and_empty_families(self):
-        full = _CountTree([True] * 8, 4)
+        full = _CountTree.from_cells([True] * 8, 4)
         assert full.extremes(F(1)) == (1.0, 1.0, 31)
-        empty = _CountTree([False] * 8, 4)
+        empty = _CountTree.from_cells([False] * 8, 4)
         assert empty.extremes(F(1, 2)) == (1.0, 1.0, 0)
         assert_tree_matches_reference(full, F(1))
         assert_tree_matches_reference(empty, F(1, 2))
 
     def test_exact_density_threshold_admits(self):
         # [0, 3/4) at resolution 2: the root has density exactly 3/4
-        tree = _CountTree([True, True, True, False], 3)
+        tree = _CountTree.from_cells([True, True, True, False], 3)
         assert 1 in tree.family(F(3, 4))
         assert 1 not in tree.family(F(3, 4) + F(1, 1000))
         assert_tree_matches_reference(tree, F(3, 4))
@@ -571,8 +643,8 @@ class TestFinerResolution:
     @settings(max_examples=60)
     def test_split_cells(self, cells, k, depth, p):
         finer = [present for present in cells for _ in range(1 << k)]
-        coarse_tree = _CountTree(list(cells), depth)
-        fine_tree = _CountTree(finer, depth)
+        coarse_tree = _CountTree.from_cells(list(cells), depth)
+        fine_tree = _CountTree.from_cells(finer, depth)
         region = StepSet.from_cells(cells)
         assert StepSet.from_cells(finer) == region
         # the same set given as 2^k pieces per interval canonicalizes back
@@ -598,7 +670,7 @@ class TestFinerResolution:
         _, fine_matrix = fine_tree.pencil(p)
         assert coarse_matrix.tobytes() == fine_matrix.tobytes()
         scores = [tree.extremes(p) for tree in (coarse_tree, fine_tree)]
-        reference = pencil_extremes(region, p, depth)
+        reference = reference_pencil_extremes(region, p, depth)
         for low, high, size in scores:
             assert (low.hex(), high.hex(), size) == (
                 reference[0].hex(),
@@ -623,16 +695,17 @@ class TestCandidateWork:
 
             return wrapper
 
-        for name in (
-            "random_stepset",
-            "enumerate_family",
-            "build_gram",
-            "certified_lower_bound",
-            "psd_certificate",
-            "eig_bounds",
-            "cell_runs",
+        for module, name in (
+            (search, "random_stepset"),
+            (haar_module, "enumerate_family"),
+            (gram_module, "build_gram"),
+            (search, "certified_lower_bound"),
+            (search, "dyadic_counts"),
+            (search, "psd_certificate"),
+            (gram_module, "eig_bounds"),
+            (search, "cell_runs"),
         ):
-            monkeypatch.setattr(search, name, counted(name, getattr(search, name)))
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         for name in ("from_cells", "from_runs"):
             method = getattr(StepSet, name).__func__
             monkeypatch.setattr(StepSet, name, classmethod(counted(name, method)))
@@ -664,6 +737,7 @@ class TestCandidateWork:
         assert calls["enumerate_family"] == 0
         assert calls["build_gram"] == 0
         assert calls["certified_lower_bound"] == 0
+        assert calls["dyadic_counts"] == 0
         assert 1 <= calls["psd_certificate"] <= 3
         assert calls["random_stepset"] == 0
         assert calls["eig_bounds"] == 0

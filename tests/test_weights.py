@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -46,7 +47,7 @@ from conftest import (
 )
 from haar_riesz import weights
 from haar_riesz.counterexample import TWO_THIRDS_SET, zigzag_coefficients
-from haar_riesz.measure import FULL_SET
+from haar_riesz.measure import FULL_SET, dyadic_counts
 from haar_riesz.weights import MAX_GRID, MAX_LEVEL, _split_failure
 
 TWO_THIRDS = StepSet(((0, F(2, 3)),))
@@ -375,6 +376,17 @@ class TestWeightedNormAndTelescope:
         with pytest.raises(InputError):
             telescope_check(TWO_THIRDS, coeffs, CFG34, top_level=1)
 
+    def test_negative_top_level_rejected(self):
+        root = CoefficientMap({DyadicInterval(0, 0): F(1)})
+        for coeffs in (root, CoefficientMap()):
+            for top in (-1, -7):
+                with pytest.raises(InputError, match=f"top level must be >= 0, got {top}"):
+                    telescope_check(TWO_THIRDS, coeffs, CFG34, top_level=top)
+        # without coefficients the default top level is 0
+        report = telescope_check(TWO_THIRDS, CoefficientMap(), CFG34)
+        assert report.top_level == 0 and report.steps == ()
+        assert report == telescope_check(TWO_THIRDS, CoefficientMap(), CFG34, top_level=0)
+
     @pytest.mark.parametrize("i", range(4))
     def test_final_unweighted_inequality(self, i):
         # dropping the weight costs at most the cap: ‖Σ‖² ≥ c(p)·Σ‖·‖²
@@ -651,13 +663,21 @@ class TestSweepParts:
     @given(reference_sets, st.integers(0, 7))
     @settings(max_examples=40)
     def test_cell_masses(self, region, deepest):
-        unit, counts = weights._cell_masses(region, deepest)
-        assert len(counts) == deepest + 1
-        for level, row in enumerate(counts):
-            assert [F(c, unit) for c in row] == [
+        # every node of the heap the weights read, one exact intersection each
+        unit, counts = dyadic_counts(region, deepest)
+        assert len(counts) == 2 << deepest and counts[0] == 0
+        for level in range(deepest + 1):
+            assert [F(c, unit) for c in weights._level(counts, level)] == [
                 intersect_measure(region, DyadicInterval(level, index))
                 for index in range(1 << level)
             ]
+        # the unit is the least common denominator of the deepest cells' masses
+        assert unit == lcm(
+            *(
+                intersect_measure(region, DyadicInterval(deepest, index)).denominator
+                for index in range(1 << deepest)
+            )
+        )
 
     @given(conftest.coefficient_maps(max_level=4))
     @settings(max_examples=60)
@@ -718,7 +738,7 @@ class TestLevelCap:
 
     @pytest.fixture
     def unreachable(self, monkeypatch):
-        for name in ("weight_mass", "_cell_masses", "_step_rhs", "weighted_norm_sq"):
+        for name in ("weight_mass", "dyadic_counts", "_step_rhs", "weighted_norm_sq"):
             monkeypatch.setattr(weights, name, _fail_if_reached)
 
     def test_weight_profile(self, unreachable):
@@ -729,7 +749,7 @@ class TestLevelCap:
             weight_profile(TWO_THIRDS, MAX_LEVEL, CFG34)
 
     def test_weighted_norm_sq(self, monkeypatch):
-        monkeypatch.setattr(weights, "_cell_masses", _fail_if_reached)
+        monkeypatch.setattr(weights, "dyadic_counts", _fail_if_reached)
         coeffs = CoefficientMap({DyadicInterval(0, 0): F(1)})
         for level in (MAX_LEVEL + 1, 10**9):
             with pytest.raises(InputError):
