@@ -20,7 +20,12 @@ def riesz_constant(p: Fraction) -> Fraction:
     induction proof pays when dropping the final weight.
     """
     p = Fraction(p)
-    if not _TWO_THIRDS < p <= 1:
+    if p > 1:
+        raise InputError(
+            f"a density threshold cannot exceed 1 (got p = {p}); "
+            "c(p) is defined for 2/3 < p <= 1"
+        )
+    if p <= _TWO_THIRDS:
         raise InputError(
             f"no positive lower Riesz constant exists for p <= 2/3 (got p = {p}); "
             "the zig-zag family drives the ratio to zero there"

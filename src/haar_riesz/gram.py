@@ -15,7 +15,10 @@ Two verification routes live here and are kept deliberately independent:
   of a family share a nonzero entry only when one is an ancestor of the
   other, so the view splits into independent blocks under non-member
   ancestors; the extremes are solved block by block, and a search can
-  reuse the value of a block that a flip left unchanged.
+  reuse the value of a block that a flip left unchanged.  The view is
+  bitwise symmetric, so a rotation computes its two new rows into place
+  from four product buffers allocated once per solve and copies them into
+  the two columns: the bits of a two-sided rotation at half its cost.
 """
 
 from __future__ import annotations
@@ -322,14 +325,23 @@ _JACOBI_MAX_SWEEPS = 64
 
 
 def _jacobi(A, target, max_sweeps):
-    """Cyclic-by-row Jacobi sweeps on a symmetric matrix, in place.
+    """Cyclic-by-row Jacobi sweeps on a bitwise symmetric matrix, in place.
 
-    Returns (final off-diagonal Frobenius norm, sweeps used).  Each rotation
-    updates two rows and two columns as vectors.  Its scalars are Python
-    floats: they round as numpy's float64 scalars do, but a tiny A[p, q]
-    sends tau to inf and t to 0 (no rotation) without an overflow warning.
+    Returns (final off-diagonal Frobenius norm, sweeps used).  A must be
+    bitwise symmetric (``np.array_equal(A, A.T)``), as :func:`float_view`
+    and the ``np.ix_`` blocks cut from it are.  Each rotation writes the new
+    rows p and q from four products c·r_p, s·r_q, s·r_p and c·r_q held in
+    buffers allocated once per call, then copies them into columns p and q.
+    Off the 2×2 corner that copy is exactly the column rotation, since
+    A[k, p] = A[p, k] for every other k, and the rotated matrix is bitwise
+    symmetric again.  The corner is rotated from its old entries in Python
+    floats, rows first and then columns as a two-sided rotation does; every
+    product and difference rounds once, as numpy's float64 operations do.
+    A tiny A[p, q] sends tau to inf and t to 0 (no rotation) without an
+    overflow warning.
     """
     n = A.shape[0]
+    cp, sq, sp, cq = (np.empty(n) for _ in range(4))
     sweeps = 0
     while sweeps < max_sweeps:
         off = float(np.sqrt(2.0 * (np.triu(A, 1) ** 2).sum()))
@@ -340,21 +352,30 @@ def _jacobi(A, target, max_sweeps):
                 apq = float(A[p, q])
                 if apq == 0.0:
                     continue
-                tau = (float(A[q, q]) - float(A[p, p])) / (2.0 * apq)
+                app = float(A[p, p])
+                aqq = float(A[q, q])
+                tau = (aqq - app) / (2.0 * apq)
                 if tau >= 0.0:
                     t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
                     t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
+                row_p, row_q = A[p], A[q]
+                np.multiply(row_p, c, cp)
+                np.multiply(row_q, s, sq)
+                np.multiply(row_p, s, sp)
+                np.multiply(row_q, c, cq)
+                np.subtract(cp, sq, row_p)
+                np.add(sp, cq, row_q)
+                A[:, p] = row_p
+                A[:, q] = row_q
+                rpp = c * app - s * apq
+                rpq = c * apq - s * aqq
+                rqp = s * app + c * apq
+                rqq = s * apq + c * aqq
+                A[p, p] = c * rpp - s * rpq
+                A[q, q] = s * rqp + c * rqq
                 A[p, q] = 0.0
                 A[q, p] = 0.0
         sweeps += 1
@@ -441,11 +462,13 @@ def eig_bounds(gram: GramMatrix) -> Tuple[float, float]:
     independent blocks (see :func:`_extreme_eigenvalues`).  Each block's
     sweeps run until its off-diagonal Frobenius mass is at most 1e−14 times
     its own Frobenius norm, so its extreme eigenvalues are accurate to about
-    that much in absolute terms.  The whole matrix's extremes are the
-    extremes of its blocks' values and each block's norm is at most ‖G‖_F, so
-    the same bound holds for the whole matrix: comfortably inside 1e−10 for
-    the well-scaled matrices produced here.  The result is deterministic, bit
-    for bit, and no sweep raises a float warning.  Raises
+    that much in absolute terms.  The view and its blocks are bitwise
+    symmetric, which lets each rotation update two rows in place and copy
+    them into the two columns (see :func:`_jacobi`).  The whole matrix's
+    extremes are the extremes of its blocks' values and each block's norm is
+    at most ‖G‖_F, so the same bound holds for the whole matrix: comfortably
+    inside 1e−10 for the well-scaled matrices produced here.  The result is
+    deterministic, bit for bit, and no sweep raises a float warning.  Raises
     :class:`ConvergenceError` when a block has not converged after 64 sweeps.
     """
     return _extreme_eigenvalues(gram.as_float())

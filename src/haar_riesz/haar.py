@@ -15,7 +15,7 @@ from .measure import DyadicInterval, StepSet, dyadic_counts, intersect_measure
 from .rational import format_rational, parse_rational
 
 MAX_DEPTH = 16  # enumerate_family reads 2^depth + 1 masses: 65537 at the cap
-MAX_JSON_LEVEL = 400  # coefficient JSON read: the zig-zag stages of counterexample --n 200
+MAX_JSON_LEVEL = 400  # deepest coefficient of a map: the zig-zag stages of counterexample --n 200
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,10 @@ class CoefficientMap:
         for interval, value in items:
             if not isinstance(interval, DyadicInterval):
                 raise InputError(f"coefficient key must be a DyadicInterval, got {interval!r}")
+            if interval.level > MAX_JSON_LEVEL:  # before 1 << level is built
+                raise InputError(
+                    f"coefficient level must be <= {MAX_JSON_LEVEL}, got {interval.level}"
+                )
             value = Fraction(value)
             node = (1 << interval.level) + interval.index
             if value:
@@ -246,10 +250,7 @@ class CoefficientMap:
 
 
 def _json_entry(entry: dict) -> Tuple[DyadicInterval, Fraction]:
-    level = int(entry["level"])
-    if level > MAX_JSON_LEVEL:
-        raise InputError(f"coefficient level must be <= {MAX_JSON_LEVEL}, got {level}")
-    return DyadicInterval(level, int(entry["index"])), parse_rational(entry["a"])
+    return DyadicInterval(int(entry["level"]), int(entry["index"])), parse_rational(entry["a"])
 
 
 _TYPECODES = ("b", "h", "i", "q")  # signed integers of 8, 16, 32 and 64 bits

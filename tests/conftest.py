@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
@@ -16,7 +17,6 @@ from haar_riesz.gram import (
     _JACOBI_MAX_SWEEPS,
     _JACOBI_REL_TOL,
     GramMatrix,
-    _jacobi,
     build_gram,
     eig_bounds,
     psd_certificate,
@@ -166,6 +166,50 @@ def dense_exact_psd(rows) -> bool:
     return True
 
 
+def reference_jacobi(A, target, max_sweeps):
+    """Cyclic-by-row Jacobi sweeps on a symmetric matrix, in place.
+
+    The library's earlier kernel, kept here unchanged as a differential
+    reference for :func:`haar_riesz.gram._jacobi`.
+
+    Returns (final off-diagonal Frobenius norm, sweeps used).  Each rotation
+    updates two rows and two columns as vectors.  Its scalars are Python
+    floats: they round as numpy's float64 scalars do, but a tiny A[p, q]
+    sends tau to inf and t to 0 (no rotation) without an overflow warning.
+    """
+    n = A.shape[0]
+    sweeps = 0
+    while sweeps < max_sweeps:
+        off = float(np.sqrt(2.0 * (np.triu(A, 1) ** 2).sum()))
+        if off <= target:
+            return off, sweeps
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = float(A[p, q])
+                if apq == 0.0:
+                    continue
+                tau = (float(A[q, q]) - float(A[p, p])) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = t * c
+                rp = A[p, :].copy()
+                rq = A[q, :].copy()
+                A[p, :] = c * rp - s * rq
+                A[q, :] = s * rp + c * rq
+                cp = A[:, p].copy()
+                cq = A[:, q].copy()
+                A[:, p] = c * cp - s * cq
+                A[:, q] = s * cp + c * cq
+                A[p, q] = 0.0
+                A[q, p] = 0.0
+        sweeps += 1
+    off = float(np.sqrt(2.0 * (np.triu(A, 1) ** 2).sum()))
+    return off, sweeps
+
+
 def reference_extreme_eigenvalues(matrix):
     """Reference (λ_min, λ_max): one Jacobi solve of the whole matrix.
 
@@ -180,7 +224,7 @@ def reference_extreme_eigenvalues(matrix):
     if fro == 0.0:
         return 0.0, 0.0
     target = _JACOBI_REL_TOL * fro
-    off, sweeps = _jacobi(work, target, _JACOBI_MAX_SWEEPS)
+    off, sweeps = reference_jacobi(work, target, _JACOBI_MAX_SWEEPS)
     if off > target:
         raise ConvergenceError(
             f"Jacobi iteration did not converge after {sweeps} sweeps "

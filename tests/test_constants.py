@@ -37,6 +37,18 @@ class TestRieszConstant:
             with pytest.raises(InputError):
                 riesz_constant(p)
 
+    def test_each_side_of_the_domain_has_its_message(self):
+        for p in (F(2, 3), F(1, 2), F(-1)):
+            with pytest.raises(InputError, match=f"for p <= 2/3 \\(got p = {p}\\)"):
+                riesz_constant(p)
+        for p in (F(3, 2), F(1) + F(1, 10**9)):
+            with pytest.raises(InputError) as caught:
+                riesz_constant(p)
+            message = str(caught.value)
+            assert f"cannot exceed 1 (got p = {p})" in message
+            assert "2/3 < p <= 1" in message and "p <= 2/3" not in message
+        assert riesz_constant(F(1)) == F(1, 2)  # the end of the domain is in it
+
     def test_strictly_increasing(self):
         grid = [F(2, 3) + F(k, 300) for k in range(1, 101)]
         values = [riesz_constant(p) for p in grid]

@@ -31,7 +31,14 @@ from haar_riesz import (
 )
 from haar_riesz.counterexample import TWO_THIRDS_SET, zigzag_coefficients
 from haar_riesz import gram as gram_module
-from haar_riesz.gram import _extreme_eigenvalues, _jacobi
+from haar_riesz.gram import (
+    _JACOBI_MAX_SWEEPS,
+    _JACOBI_REL_TOL,
+    _components,
+    _extreme_eigenvalues,
+    _jacobi,
+    float_view,
+)
 
 from conftest import (
     dense_exact_psd,
@@ -41,6 +48,7 @@ from conftest import (
     matrix_components,
     psd_by_principal_minors,
     reference_extreme_eigenvalues,
+    reference_jacobi,
     step_sets,
 )
 
@@ -515,6 +523,145 @@ class TestBlockExtremes:
         assert calls == [3, 2]  # read from the memo, not solved
         assert _extreme_eigenvalues(first) == values  # no memo: solved again
         assert calls == [3, 2, 3, 2]
+
+
+FLOAT_PATTERNS = ("dense", "sparse", "zero rows", "blocks", "path")
+
+
+@st.composite
+def float_symmetric_matrices(draw, max_size: int = 40):
+    """Bitwise symmetric float matrices: dense, sparse, with zero rows,
+    block-diagonal or a path.  Entries have magnitudes from 1e−150 to 1e150;
+    with ``tiny`` about half of the off-diagonal entries shrink by a further
+    1e−160, so that τ² overflows when a sweep meets one of them."""
+    n = draw(st.sampled_from(range(1, max_size + 1)))  # sizes spread evenly
+    pattern = draw(st.sampled_from(FLOAT_PATTERNS))
+    low = draw(st.integers(-150, 150))
+    high = min(150, low + draw(st.sampled_from((0, 3, 300))))
+    tiny = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.integers(low, high + 1, (n, n))
+    index = np.arange(n)
+    if pattern == "sparse":
+        values *= rng.random((n, n)) < 0.2
+    elif pattern == "zero rows":
+        zero = rng.random(n) < 0.3
+        values[zero, :] = 0.0
+        values[:, zero] = 0.0
+    elif pattern == "blocks":
+        owner = rng.integers(0, 4, n)
+        values *= owner[:, None] == owner[None, :]
+    elif pattern == "path":
+        values *= abs(index[:, None] - index[None, :]) <= 1
+    lower = np.tril(values, -1)
+    if tiny:
+        lower[rng.random((n, n)) < 0.5] *= 1e-160
+    matrix = lower + lower.T
+    matrix[index, index] = values[index, index]
+    return matrix
+
+
+def certify_blocks():
+    """Every multi-member block of the normalized pencils of a certify-style
+    corpus: depth 5, thresholds 43/64, 3/4 and 9/10, and resolution-8 sets
+    of bias 0.6–0.8, each the first draw that covers within two cells of
+    bias·256 (so the root is admissible at bias 0.8)."""
+    blocks = []
+    draws = (derive_seed(0x5EED5, k) for k in range(10**6))
+    for bias in (0.6, 0.65, 0.7, 0.75, 0.8) * 2:
+        region = next(
+            region
+            for region in (random_stepset(8, bias, seed) for seed in draws)
+            if abs(region.measure * 256 - round(bias * 256)) <= 2
+        )
+        for p in (F(43, 64), F(3, 4), F(9, 10)):
+            family = enumerate_family(5, region, p)
+            if not family:
+                continue
+            matrix = build_gram(family, region, normalized=True).as_float()
+            blocks += [
+                matrix[np.ix_(members, members)]
+                for members in _components(matrix)
+                if len(members) > 1
+            ]
+    return blocks
+
+
+def jacobi_both(matrix, target, max_sweeps):
+    """(result, bytes) of the kernel and of the reference on copies."""
+    ours, theirs = matrix.copy(), matrix.copy()
+    mine = _jacobi(ours, target, max_sweeps)
+    ref = reference_jacobi(theirs, target, max_sweeps)
+    return (mine, ours.tobytes()), (ref, theirs.tobytes())
+
+
+def relative_target(matrix):
+    return _JACOBI_REL_TOL * float(np.sqrt((matrix * matrix).sum()))
+
+
+class TestJacobiKernel:
+    """The buffer-and-mirror rotation against the earlier two-sided kernel."""
+
+    @given(float_symmetric_matrices(), st.sampled_from((1, 2, 64)))
+    @settings(max_examples=200)
+    def test_matches_reference_bit_for_bit(self, matrix, max_sweeps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mine, ref = jacobi_both(matrix, relative_target(matrix), max_sweeps)
+        (off, sweeps), data = mine
+        (ref_off, ref_sweeps), ref_data = ref
+        assert (off.hex(), sweeps) == (ref_off.hex(), ref_sweeps)
+        assert data == ref_data
+
+    def test_certify_pencil_blocks_match_reference(self):
+        blocks = certify_blocks()
+        assert len(blocks) >= 30 and max(b.shape[0] for b in blocks) >= 40
+        for block in blocks:
+            mine, ref = jacobi_both(block, relative_target(block), _JACOBI_MAX_SWEEPS)
+            assert mine[0][0].hex() == ref[0][0].hex() and mine[0][1] == ref[0][1]
+            assert mine[1] == ref[1]
+
+    @given(float_symmetric_matrices(max_size=24))
+    @settings(max_examples=60)
+    def test_every_sweep_keeps_the_matrix_bitwise_symmetric(self, matrix):
+        assert np.array_equal(matrix, matrix.T)
+        target = relative_target(matrix)
+        for _ in range(_JACOBI_MAX_SWEEPS):
+            off, sweeps = _jacobi(matrix, target, 1)  # one sweep at most
+            assert np.array_equal(matrix, matrix.T)
+            if sweeps == 0:
+                break
+
+    @given(
+        step_sets(denominators=(3, 8, 12, 64)),
+        st.integers(0, 5),
+        st.sampled_from([F(1, 2), F(43, 64), F(3, 4), F(1)]),
+    )
+    @settings(max_examples=60)
+    def test_float_view_is_bitwise_symmetric(self, region, depth, p):
+        family = enumerate_family(depth, region, p)
+        raw = build_gram(family, region)
+        views = [raw.as_float()]
+        if all(raw.diagonal):
+            views.append(build_gram(family, region, normalized=True).as_float())
+        for matrix in views:
+            assert np.array_equal(matrix, matrix.T)
+            for members in _components(matrix):
+                block = matrix[np.ix_(members, members)]
+                assert np.array_equal(block, block.T)
+
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60)
+    def test_float_view_of_any_store_is_bitwise_symmetric(self, n, seed, normalized):
+        rng = np.random.default_rng(seed)
+        diagonal = rng.uniform(0.1, 10.0, n).tolist()
+        lower = [
+            tuple((j, F(int(rng.integers(-99, 100)), int(rng.integers(1, 64))))
+                  for j in range(i) if rng.random() < 0.4)
+            for i in range(n)
+        ]
+        matrix = float_view(diagonal, lower, normalized)
+        assert np.array_equal(matrix, matrix.T)
 
 
 class TestPsdCertificate:

@@ -357,6 +357,22 @@ class TestCoefficientMap:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
+    def test_level_cap_holds_for_maps_built_in_python(self):
+        # the constructor refuses the level before it builds 1 << level,
+        # which at level 10^8 alone takes 12.5 MB
+        deep = DyadicInterval(10**8, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=f"coefficient level must be <= {MAX_JSON_LEVEL}, got {10**8}"):
+                CoefficientMap({DyadicInterval(0, 0): F(1), deep: F(1)})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        at_cap = CoefficientMap({DyadicInterval(MAX_JSON_LEVEL, 5): F(1, 3)})
+        assert at_cap.max_level() == MAX_JSON_LEVEL
+        assert zigzag_coefficients(MAX_TABLE_N).max_level() == 2 * MAX_TABLE_N
+
     def test_duplicate_keys_in_json(self):
         entries = [
             {"level": 2, "index": 1, "a": "1/1"},
