@@ -22,6 +22,7 @@ from .errors import ConsistencyError, ConvergenceError, InputError
 from .gram import (
     bessel_certificate,
     build_gram,
+    check_dense,
     eig_bounds,
     perturbation_demo,
     psd_certificate,
@@ -41,12 +42,18 @@ def _write(args, text: str):
         sys.stdout.write(text)
 
 
-def _load_json(path: str) -> dict:
+def _read_file(path: str, parse, what: str):
+    """parse(fh) of the UTF-8 text file at path; a file that cannot be
+    opened, decoded or parsed is an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+            return parse(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read {what} from {path}: {exc}") from exc
+
+
+def _load_json(path: str) -> dict:
+    return _read_file(path, json.load, "JSON")
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -56,6 +63,7 @@ def _fraction_arg(text: str) -> Fraction:
 def cmd_gram(args) -> int:
     region = StepSet.from_json_dict(_load_json(args.set))
     family = enumerate_family(args.depth, region, args.p)
+    check_dense(len(family))
     report = {
         "p": format_rational(args.p),
         "depth": args.depth,
@@ -154,9 +162,8 @@ def _parse_p_list(spec: str) -> list[Fraction]:
     import os
 
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            tokens = [t for t in fh.read().replace(",", " ").split() if t]
-        return [parse_rational(t) for t in tokens]
+        text = _read_file(spec, lambda fh: fh.read(), "a p-list")
+        return [parse_rational(t) for t in text.replace(",", " ").split()]
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:

@@ -35,6 +35,17 @@ from .errors import ConvergenceError, InputError
 from .measure import DyadicInterval, StepSet, measures_below
 from .rational import format_rational, render_float
 
+MAX_DENSE = 2048  # members of a dense view: 32 MiB of float64 at the cap
+
+
+def check_dense(size: int):
+    """Refuse a dense matrix of more than MAX_DENSE members before it is built."""
+    if size > MAX_DENSE:
+        raise InputError(
+            f"a dense matrix of {size} members exceeds the cap of {MAX_DENSE}"
+        )
+
+
 @dataclass(frozen=True)
 class GramMatrix:
     """Symmetric matrix of exact inner products of a finite vector family.
@@ -91,6 +102,7 @@ class GramMatrix:
     @cached_property
     def entries(self) -> Tuple[Tuple[Fraction, ...], ...]:
         """The dense matrix, built from the store on first use."""
+        check_dense(self.size)
         zero = Fraction(0)
         rows = [[zero] * self.size for _ in self.diagonal]
         for i, (d, row) in enumerate(zip(self.diagonal, self.lower)):
@@ -136,6 +148,7 @@ def float_view(
     the same bits for the same entries.
     """
     n = len(diagonal)
+    check_dense(n)
     rows = np.array([i for i, row in enumerate(lower) for _ in row], dtype=np.intp)
     cols = np.array([j for row in lower for j, _ in row], dtype=np.intp)
     values = np.array([float(x) for row in lower for _, x in row], dtype=np.float64)
@@ -203,14 +216,13 @@ def build_gram(
         for interval in family
     ]
     points = sorted({left + k * half for left, half in ends for k in (0, 1, 2)})
-    below = dict(
-        zip(points, measures_below(region, [Fraction(x, 1 << top) for x in points]))
-    )
+    unit, values = measures_below(region, top, points)
+    below = dict(zip(points, values))
     mass, slope = [], []
     for left, half in ends:
         lo, mid, hi = below[left], below[left + half], below[left + 2 * half]
-        mass.append(hi - lo)
-        slope.append((hi - mid) - (mid - lo))
+        mass.append(Fraction(hi - lo, unit))
+        slope.append(Fraction((hi - mid) - (mid - lo), unit))
     if normalized:
         for interval, m in zip(family, mass):
             if m == 0:

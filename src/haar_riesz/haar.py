@@ -30,8 +30,8 @@ class PiecewiseConstant:
     values: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        bps = tuple(Fraction(b) for b in self.breakpoints)
-        vals = tuple(Fraction(v) for v in self.values)
+        bps = tuple(b if type(b) is Fraction else Fraction(b) for b in self.breakpoints)
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
         if len(bps) < 2 or bps[0] != 0 or bps[-1] != 1:
             raise InputError("breakpoints must start at 0 and end at 1")
         if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
@@ -240,8 +240,8 @@ class CoefficientMap:
     def from_json_dict(cls, data: Union[dict, str]) -> "CoefficientMap":
         if isinstance(data, str):
             data = json.loads(data)
-        if not isinstance(data, dict) or "coeffs" not in data:
-            raise InputError('coefficient JSON must be {"coeffs": [{"level":..,"index":..,"a":".."}]}')
+        if not isinstance(data, dict) or not isinstance(data.get("coeffs"), list):
+            raise InputError(_COEFFS_SHAPE)
         return cls(map(_json_entry, data["coeffs"]))
 
     def __repr__(self) -> str:
@@ -249,8 +249,15 @@ class CoefficientMap:
         return f"CoefficientMap({{{body}}})"
 
 
+_COEFFS_SHAPE = 'coefficient JSON must be {"coeffs": [{"level":..,"index":..,"a":".."}]}'
+
+
 def _json_entry(entry: dict) -> Tuple[DyadicInterval, Fraction]:
-    return DyadicInterval(int(entry["level"]), int(entry["index"])), parse_rational(entry["a"])
+    try:
+        level, index, a = int(entry["level"]), int(entry["index"]), entry["a"]
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        raise InputError(_COEFFS_SHAPE) from exc
+    return DyadicInterval(level, index), parse_rational(a)
 
 
 _TYPECODES = ("b", "h", "i", "q")  # signed integers of 8, 16, 32 and 64 bits

@@ -2,7 +2,8 @@
 
 The set model is a canonical finite union of half-open intervals with
 rational endpoints inside [0,1).  Every measure and density computed here is
-an exact `Fraction` or integer count over a common unit; nothing rounds.
+an exact `Fraction` or integer count over a common unit; nothing rounds.  The
+measures at dyadic points come from one integer sweep, :func:`measures_below`.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import json
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from math import lcm
-from operator import add
+from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, List, Sequence, Tuple, Union
 
 from .errors import InputError
@@ -26,7 +27,10 @@ def _as_fraction(value: RationalLike) -> Fraction:
         return value
     if isinstance(value, str):
         return parse_rational(value)
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"not a rational number: {value!r}") from exc
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -217,9 +221,14 @@ class StepSet:
     def from_json_dict(cls, data: Union[dict, str]) -> "StepSet":
         if isinstance(data, str):
             data = json.loads(data)
+        shape = 'step set JSON must be {"intervals": [["a/b","c/d"], ...]}'
         if not isinstance(data, dict) or "intervals" not in data:
-            raise InputError('step set JSON must be {"intervals": [["a/b","c/d"], ...]}')
-        return cls(tuple((pair[0], pair[1]) for pair in data["intervals"]))
+            raise InputError(shape)
+        try:
+            pairs = tuple((pair[0], pair[1]) for pair in data["intervals"])
+        except (TypeError, IndexError, KeyError) as exc:
+            raise InputError(shape) from exc
+        return cls(pairs)
 
     def __str__(self) -> str:
         if not self.ends:
@@ -251,27 +260,28 @@ def intersect_measure(region: StepSet, interval: DyadicInterval) -> Fraction:
     return total
 
 
-def measures_below(region: StepSet, points: Sequence[Fraction]) -> list[Fraction]:
-    """Exact |E ∩ [0, x)| at each point x of an ascending sequence.
-
-    One merge sweep of the region's ends against the points, so the cost is
-    O(len(points) + len(region.ends)); the measure of any half-open interval
-    between two of the points is the difference of their values.
+def measures_below(region: StepSet, level: int, positions: Iterable[int]) -> Tuple[int, List[int]]:
+    """(unit, below): |E ∩ [0, k/2^level)| = below[i] / unit for the i-th k
+    of ascending positions in [0, 2^level], ``unit`` their least common
+    denominator.  The ends and the points share one integer grid of step
+    1/lcm(2^level, the ends' denominators), merged in one sweep.
     """
     ends = region.ends
-    n = len(ends)
-    out = []
-    covered = Fraction(0)  # measure of the region's intervals ending at or before x
+    grid = lcm(1 << level, *(end.denominator for end in ends))
+    ticks = [end.numerator * (grid // end.denominator) for end in ends]
+    step = grid >> level
+    n = len(ticks)
+    below = []
+    covered = 0  # grid steps of the region's intervals ending at or before x
     k = 0  # index of the left end of the first interval not yet covered
-    for x in points:
-        while k < n and ends[k + 1] <= x:
-            covered += ends[k + 1] - ends[k]
+    for position in positions:
+        x = position * step
+        while k < n and ticks[k + 1] <= x:
+            covered += ticks[k + 1] - ticks[k]
             k += 2
-        if k < n and ends[k] < x:
-            out.append(covered + (x - ends[k]))
-        else:
-            out.append(covered)
-    return out
+        below.append(covered + (x - ticks[k]) if k < n and ticks[k] < x else covered)
+    common = gcd(grid, *below)
+    return grid // common, [value // common for value in below]
 
 
 def density(region: StepSet, interval: DyadicInterval) -> Fraction:
@@ -298,13 +308,10 @@ def dyadic_counts(region: StepSet, deepest: int) -> Tuple[int, List[int]]:
     dyadic interval I = (level, index) of level ≤ ``deepest``.
 
     One :func:`measures_below` sweep at the ends of the level-``deepest``
-    cells gives that level; ``unit`` is the least common denominator of the
-    sweep's values, so every count is an integer, and each coarser node is
-    the sum of its halves (:func:`heap_sums`).  A level's counts are the
-    slice ``counts[1 << level : 2 << level]``.
+    cells gives that level as integers over ``unit``, the least common
+    denominator of its values, and each coarser node is the sum of its
+    halves (:func:`heap_sums`).  A level's counts are the slice
+    ``counts[1 << level : 2 << level]``.
     """
-    scale = 1 << deepest
-    below = measures_below(region, [Fraction(k, scale) for k in range(scale + 1)])
-    unit = lcm(*(x.denominator for x in below))
-    ends = [x.numerator * (unit // x.denominator) for x in below]
-    return unit, heap_sums([right - left for left, right in zip(ends, ends[1:])])
+    unit, below = measures_below(region, deepest, range((1 << deepest) + 1))
+    return unit, heap_sums(list(map(sub, below[1:], below[:-1])))

@@ -4,17 +4,17 @@ Every route from (set, p, depth) reads one integer count table
 (:class:`_CountTree`): the set's masses on the dyadic nodes down to level
 depth + 1, as integers over one unit.  Admissibility, masses and slopes are
 read off it, and the pencil's entries are written by the ancestor-chain walk
-of :func:`build_gram` (:func:`gram._chain_store`).  :func:`pencil_extremes`
-and :func:`certified_lower_bound` fill the table from one sweep of a step
-set (:func:`measure.dyadic_counts`); a search fills it from a candidate's
-cells, and a greedy flip updates one cell's subtree and ancestor chain.  The
-float pencil divides the counts by the unit, which rounds as ``float`` of
-the Fraction does, so it has the bits :meth:`GramMatrix.as_float` gives.  Its
-extremes are solved block by block, and a memo that lives for one search
-keeps each solved block's extremes, so a flip re-solves only the blocks it
-changed.  No candidate builds a Fraction Gram matrix; ties on the ratio are
-broken on the integer runs of the cells, and a StepSet is built only for the
-final winner or for a candidate that fails a spectral check.
+of :func:`build_gram` (:func:`gram._chain_store`).  A step set's table comes
+from one sweep of it (:func:`_table_tree`), for :func:`pencil_extremes`,
+:func:`certified_lower_bound` and a search's winner alike; a candidate fills
+it from its cells, and a greedy flip updates one cell's subtree and ancestor
+chain.  The float pencil divides the counts by the unit, which rounds as
+``float`` of the Fraction does, so it has the bits :meth:`GramMatrix.as_float`
+gives.  Its extremes are solved block by block, and a memo that lives for one
+search keeps each solved block's extremes, so a flip re-solves only the
+blocks it changed.  No candidate builds a Fraction Gram matrix; ties on the
+ratio are broken on the integer runs of the cells, and a StepSet is built
+only for the final winner or for a candidate that fails a spectral check.
 
 The certified bracket bisects the exact pencil of the integer counts (G and
 D scaled alike by the unit, so every PSD verdict is the one on the
@@ -109,13 +109,19 @@ def random_stepset(resolution: int, density_bias: float, seed: int) -> StepSet:
     Deterministic in the seed; a bias of exactly 1.0 always yields the full
     interval (the generated uniforms are strictly below 1).
     """
-    if resolution < 1:
-        raise InputError(f"resolution must be >= 1, got {resolution}")
-    if resolution > MAX_RESOLUTION:
-        raise InputError(f"resolution must be <= {MAX_RESOLUTION}, got {resolution}")
-    if not 0.0 < density_bias <= 1.0:
-        raise InputError(f"density bias must lie in (0, 1], got {density_bias}")
+    _check_cells(resolution, density_bias)
     return StepSet.from_cells(_draw_cells(resolution, density_bias, seed))
+
+
+def _check_cells(resolution: int, density_bias: Optional[float]):
+    """The checks of a cell grid: 1 ≤ resolution ≤ MAX_RESOLUTION and, when
+    one is given, a cell-inclusion bias in (0, 1]."""
+    if not 1 <= resolution <= MAX_RESOLUTION:
+        raise InputError(
+            f"cell resolution must lie in [1, {MAX_RESOLUTION}], got {resolution}"
+        )
+    if density_bias is not None and not 0.0 < density_bias <= 1.0:
+        raise InputError(f"density bias must lie in (0, 1], got {density_bias}")
 
 
 @dataclass(frozen=True)
@@ -131,23 +137,11 @@ class SearchConfig:
     def __post_init__(self):
         object.__setattr__(self, "p", check_family_args(self.depth, self.p))
         object.__setattr__(self, "seed", self.seed & _MASK64)
-        if self.cell_resolution < 1:
-            raise InputError(
-                f"cell resolution must be >= 1, got {self.cell_resolution}"
-            )
-        if self.cell_resolution > MAX_RESOLUTION:
-            raise InputError(
-                f"cell resolution must be <= {MAX_RESOLUTION}, "
-                f"got {self.cell_resolution}"
-            )
+        _check_cells(self.cell_resolution, self.density_bias)
         if self.iterations < 1:
             raise InputError(f"iterations must be >= 1, got {self.iterations}")
         if self.mode not in ("random", "greedy-flip"):
             raise InputError(f"unknown search mode {self.mode!r}")
-        if self.density_bias is not None and not 0.0 < self.density_bias <= 1.0:
-            raise InputError(
-                f"density bias must lie in (0, 1], got {self.density_bias}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -485,8 +479,8 @@ def search_extremal(cfg: SearchConfig) -> SearchResult:
     restart's fresh set competes for the best as the flips do, though
     ``ratios`` keeps one entry per iteration.  Every evaluated ratio is
     checked against the certified theorem floor.  The returned record
-    carries an exact certified bracket for the winning set, equal to
-    :func:`certified_lower_bound` of it, its checks started at its ratio.
+    carries an exact certified bracket for the winning set, decided on its
+    table as :func:`certified_lower_bound` decides it, started at its ratio.
 
     The extremes of every pencil block solved are kept, keyed by the block's
     bytes, for the length of this call only, so a flip re-solves only the
@@ -496,12 +490,10 @@ def search_extremal(cfg: SearchConfig) -> SearchResult:
     ceiling = float(Fraction(1) / cfg.p) + _FLOAT_TOL
     run = _search_random if cfg.mode == "random" else _search_greedy
     (ratio, runs, size), ratios = run(cfg, floor, ceiling, {})
-    cells = [False] * (1 << cfg.cell_resolution)
-    for a, b in runs:
-        cells[a:b] = [True] * (b - a)
-    tree = _CountTree.from_cells(cells, cfg.depth)
+    best_set = StepSet.from_runs(runs, 1 << cfg.cell_resolution)
+    tree, _ = _table_tree(best_set, cfg.p, cfg.depth)
     return SearchResult(
-        best_set=StepSet.from_runs(runs, len(cells)),
+        best_set=best_set,
         best_ratio=ratio,
         family_size=size,
         certificate_lower=_bracket(tree, cfg.p, _bracket_grid(_BRACKET_WIDTH), ratio),

@@ -375,9 +375,10 @@ def per_interval_check(
     """
     b, a = Fraction(b), Fraction(a)
     lh, rh = halves(interval)
-    below = measures_below(region, (lh.left, rh.left, rh.right))
-    q1 = (below[1] - below[0]) / lh.measure
-    q2 = (below[2] - below[1]) / rh.measure
+    left = 2 * interval.index
+    unit, (lo, centre, hi) = measures_below(region, lh.level, (left, left + 1, left + 2))
+    q1 = Fraction((centre - lo) << lh.level, unit)
+    q2 = Fraction((hi - centre) << lh.level, unit)
     mid = (q1 + q2) / 2
     lhs = (
         (b - a) ** 2 * lh.measure * weight_mass(q1, cfg)

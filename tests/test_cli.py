@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -253,6 +254,37 @@ class TestExitCodes:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        "args,content",
+        [
+            pytest.param(["gram", "--set"], {"intervals": [["1/2"]]}, id="short-pair"),
+            pytest.param(["gram", "--set"], {"intervals": 5}, id="intervals-not-a-list"),
+            pytest.param(["gram", "--set"], {"intervals": [[None, "1"]]}, id="null-end"),
+            pytest.param(["gram", "--set"], b"\xff\xfe{", id="set-not-utf8"),
+            pytest.param(["induction-check", "--coeffs"], {"coeffs": [{"level": 1}]}, id="no-index"),
+            pytest.param(["induction-check", "--coeffs"], {"coeffs": 5}, id="coeffs-not-a-list"),
+            pytest.param(["constants", "--p-list"], None, id="p-list-directory"),
+            pytest.param(["constants", "--p-list"], b"3/4,\xff", id="p-list-not-utf8"),
+        ],
+    )
+    def test_malformed_input_files(self, capsys, tmp_path, two_thirds_file, args, content):
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(json.dumps(content))
+        rest = {
+            "gram": ["--p", "1/2", "--depth", "2"],
+            "induction-check": ["--set", two_thirds_file, "--p", "3/4"],
+            "constants": [],
+        }[args[0]]
+        assert run(args + [str(path)] + rest) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+
     def test_negative_n(self, capsys):
         assert run(["counterexample", "--n", "-3"]) == 2
 
@@ -394,3 +426,24 @@ class TestResourceCaps:
         args += ["--resolution", str(MAX_RESOLUTION + 1)]
         for mode in ("random", "greedy-flip"):
             assert run(args + ["--mode", mode]) == 2
+
+    def test_dense_cap_exits_before_allocating(self, capsys, tmp_path):
+        """A family past gram.MAX_DENSE members exits 2 with no dense view
+        built: the full depth-12 family (8191 members) would take 512 MiB."""
+        full = tmp_path / "full.json"
+        full.write_text(json.dumps(StepSet(((0, 1),)).to_json_dict()))
+        commands = [
+            ["gram", "--set", str(full), "--p", "1/2", "--depth", "12"],
+            ["search", "--p", "1/2", "--depth", "11", "--resolution", "12", "--bias", "1"]
+            + ["--iters", "1", "--seed", "1"],
+        ]
+        for command in commands:
+            tracemalloc.start()
+            try:
+                code = run(command)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 2
+            assert "input error: a dense matrix of" in capsys.readouterr().err
+            assert peak < 8 << 20

@@ -309,6 +309,16 @@ class TestGramStore:
         assert gram.as_float().shape == (len(family), len(family))
         assert "entries" not in vars(gram)
 
+    def test_dense_views_are_capped(self):
+        assert gram_module.MAX_DENSE >= 2047  # the full depth-10 family
+        n = gram_module.MAX_DENSE + 1
+        big = GramMatrix((F(1),) * n, ((),) * n)
+        for view in (lambda: big.entries, big.as_float, big.to_json_dict, big.to_csv):
+            with pytest.raises(InputError, match="dense"):
+                view()
+        at_cap = GramMatrix((F(1),) * (n - 1), ((),) * (n - 1))
+        assert at_cap.as_float().shape == (n - 1, n - 1)
+
 
 class TestEigBounds:
     def test_identity(self):

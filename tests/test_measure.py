@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 import tracemalloc
@@ -17,7 +18,7 @@ from haar_riesz import (
 )
 from haar_riesz.haar import halves, node_interval
 from haar_riesz import measure
-from haar_riesz.counterexample import TWO_THIRDS_SET
+from haar_riesz.counterexample import TWO_THIRDS_SET, zigzag_coefficients
 from haar_riesz.measure import cell_runs, dyadic_counts, heap_sums, measures_below
 
 from conftest import clip_stepset, dyadic_intervals, step_sets
@@ -282,22 +283,45 @@ class TestIntersectMeasure:
         ) == interval.measure
 
 
+def assert_sweep_is_clipped_measure(region, level, positions):
+    """measures_below against the measure of region ∩ [0, k/2^level), clipped
+    piece by piece; its unit is the values' least common denominator."""
+    unit, below = measures_below(region, level, positions)
+    exact = [clip_stepset(region, F(0), F(k, 1 << level)).measure for k in positions]
+    assert all(type(b) is int for b in below)
+    assert [F(b, unit) for b in below] == exact
+    assert unit == math.lcm(*(x.denominator for x in exact))
+
+
+@st.composite
+def sweep_positions(draw):
+    """A level 0–12 and sorted positions in [0, 2^level], repeats and both
+    ends among them."""
+    level = draw(st.integers(0, 12))
+    top = 1 << level
+    positions = draw(
+        st.lists(st.one_of(st.just(0), st.just(top), st.integers(0, top)), max_size=16)
+    )
+    return level, sorted(positions)
+
+
 class TestMeasuresBelow:
     def test_two_thirds_set(self):
-        region = StepSet(((0, F(2, 3)),))
-        points = [F(0), F(1, 2), F(2, 3), F(3, 4), F(1)]
-        assert measures_below(region, points) == [0, F(1, 2), F(2, 3), F(2, 3), F(2, 3)]
+        # the ends, midpoints and right ends of the zig-zag members down to
+        # level 26, as level-27 positions: the Gram matrix's sweep
+        family = zigzag_coefficients(13).support()
+        assert max(i.level for i in family) == 26
+        positions = sorted(
+            (i.index << (27 - i.level)) + k * (1 << (26 - i.level))
+            for i in family
+            for k in (0, 1, 2)
+        )
+        assert_sweep_is_clipped_measure(TWO_THIRDS_SET, 27, positions)
+        assert measures_below(TWO_THIRDS_SET, 2, [0, 2, 3, 4]) == (6, [0, 3, 4, 4])
 
-    @given(
-        step_sets(),
-        st.lists(st.fractions(min_value=0, max_value=1, max_denominator=48), max_size=12),
-    )
-    def test_matches_clipped_measure(self, region, points):
-        # oracle: the measure of region ∩ [0, x), clipped piece by piece
-        points = sorted(points)
-        assert measures_below(region, points) == [
-            clip_stepset(region, F(0), x).measure for x in points
-        ]
+    @given(step_sets(denominators=(3, 5, 7, 15, 21, 64)), sweep_positions())
+    def test_matches_clipped_measure(self, region, sweep):
+        assert_sweep_is_clipped_measure(region, *sweep)
 
 
 class TestDyadicCounts:

@@ -684,8 +684,9 @@ class TestCandidateWork:
     def test_only_winning_or_tied_candidates_build_a_stepset(self, monkeypatch, mode):
         """Winning and tied candidates find their integer runs, for the
         tie-break; one StepSet is built, for the final winner, and no Fraction
-        route runs: the winner is bracketed on its count tree in at most
-        three exact checks."""
+        route runs.  Count trees are built from cells for candidates only:
+        the winner's table is read off its set in one sweep, as every other
+        set's is, and bracketed in at most three exact checks."""
         calls = Counter()
 
         def counted(name, function):
@@ -709,6 +710,10 @@ class TestCandidateWork:
         for name in ("from_cells", "from_runs"):
             method = getattr(StepSet, name).__func__
             monkeypatch.setattr(StepSet, name, classmethod(counted(name, method)))
+        tree_from_cells = _CountTree.from_cells.__func__
+        monkeypatch.setattr(
+            _CountTree, "from_cells", classmethod(counted("tree_from_cells", tree_from_cells))
+        )
         ratios = []
         score = search._score
 
@@ -737,7 +742,8 @@ class TestCandidateWork:
         assert calls["enumerate_family"] == 0
         assert calls["build_gram"] == 0
         assert calls["certified_lower_bound"] == 0
-        assert calls["dyadic_counts"] == 0
+        assert calls["dyadic_counts"] == 1  # the winner's table, from its set
+        assert calls["tree_from_cells"] == (cfg.iterations if mode == "random" else 1)
         assert 1 <= calls["psd_certificate"] <= 3
         assert calls["random_stepset"] == 0
         assert calls["eig_bounds"] == 0
