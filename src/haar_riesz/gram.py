@@ -9,7 +9,13 @@ Two verification routes live here and are kept deliberately independent:
 
 * an exact route — one rational LDLᵀ, eliminating members from the last
   index to the first, decides positive semidefiniteness of the pencil
-  G − c·D with no rounding at all;
+  G − c·D with no rounding at all.  It serves any given Gram matrix and any
+  family, repeated members and families past the dense count table
+  included: :func:`verify_riesz`, :func:`verify_bessel` and the ``gram``
+  command's ``--c``/``--bessel`` verdicts.  The search's certified brackets
+  decide on their count tables instead (``search._CountTree.psd``, the same
+  elimination as one pass over the dyadic tree), and this LDLᵀ checks them
+  in the tests;
 * a float route — one cyclic Jacobi eigensolver on the float64 view, used
   to drive searches and to cross-check the exact certificates.  Two members
   of a family share a nonzero entry only when one is an ancestor of the

@@ -253,10 +253,14 @@ _COEFFS_SHAPE = 'coefficient JSON must be {"coeffs": [{"level":..,"index":..,"a"
 
 
 def _json_entry(entry: dict) -> Tuple[DyadicInterval, Fraction]:
+    """One coefficient; its level and index must be JSON integers (not
+    floats, which would truncate, nor booleans)."""
     try:
-        level, index, a = int(entry["level"]), int(entry["index"]), entry["a"]
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        level, index, a = entry["level"], entry["index"], entry["a"]
+    except (TypeError, KeyError) as exc:
         raise InputError(_COEFFS_SHAPE) from exc
+    if type(level) is not int or type(index) is not int:
+        raise InputError(_COEFFS_SHAPE)
     return DyadicInterval(level, index), parse_rational(a)
 
 

@@ -224,10 +224,12 @@ class StepSet:
         shape = 'step set JSON must be {"intervals": [["a/b","c/d"], ...]}'
         if not isinstance(data, dict) or "intervals" not in data:
             raise InputError(shape)
-        try:
-            pairs = tuple((pair[0], pair[1]) for pair in data["intervals"])
-        except (TypeError, IndexError, KeyError) as exc:
-            raise InputError(shape) from exc
+        pairs = data["intervals"]
+        # each interval exactly two ends: a longer list would lose the rest
+        if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in pairs
+        ):
+            raise InputError(shape)
         return cls(pairs)
 
     def __str__(self) -> str:

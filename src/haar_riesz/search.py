@@ -3,8 +3,8 @@
 Every route from (set, p, depth) reads one integer count table
 (:class:`_CountTree`): the set's masses on the dyadic nodes down to level
 depth + 1, as integers over one unit.  Admissibility, masses and slopes are
-read off it, and the pencil's entries are written by the ancestor-chain walk
-of :func:`build_gram` (:func:`gram._chain_store`).  A step set's table comes
+read off it, and the float pencil's entries are written by the ancestor-chain
+walk of :func:`build_gram` (:func:`gram._chain_store`).  A step set's table comes
 from one sweep of it (:func:`_table_tree`), for :func:`pencil_extremes`,
 :func:`certified_lower_bound` and a search's winner alike; a candidate fills
 it from its cells, and a greedy flip updates one cell's subtree and ancestor
@@ -16,12 +16,14 @@ blocks it changed.  No candidate builds a Fraction Gram matrix; ties on the
 ratio are broken on the integer runs of the cells, and a StepSet is built
 only for the final winner or for a candidate that fails a spectral check.
 
-The certified bracket bisects the exact pencil of the integer counts (G and
-D scaled alike by the unit, so every PSD verdict is the one on the
-Fractions).  The verdicts are monotone in the constant, so a search starts
-its winner's checks at its float λ_min and usually takes two; the float
-never decides.  The Fraction routes these values equal bit for bit are kept
-in the test suite (``tests/conftest.py``) as references.  All randomness
+The certified bracket decides each exact PSD verdict by one pass over the
+integer counts (:meth:`_CountTree.psd`), the paper's level-by-level
+induction run as an elimination, with G and D scaled alike by the unit.
+The verdicts are monotone in the constant, so a search asks its winner's
+float λ_min and the next grid point first and usually needs no more; the
+float never decides.  The tests check each verdict against the generic LDLᵀ
+(:func:`gram.psd_certificate`) and keep the Fraction routes these values
+equal bit for bit as references (``tests/conftest.py``).  All randomness
 flows through an explicit splitmix64 generator so results are reproducible
 bit for bit from the seed.
 """
@@ -37,13 +39,7 @@ import numpy as np
 
 from .constants import riesz_constant
 from .errors import ConsistencyError, InputError
-from .gram import (
-    GramMatrix,
-    _chain_store,
-    _extreme_eigenvalues,
-    float_view,
-    psd_certificate,
-)
+from .gram import _chain_store, _extreme_eigenvalues, float_view
 from .haar import admissible_nodes, check_family_args
 from .measure import StepSet, cell_runs, dyadic_counts, heap_sums
 
@@ -215,8 +211,8 @@ def certified_lower_bound(
     Returns lo with the certificate exactly true at lo and exactly false at
     lo + width.  The bracket starts at [0, 2]: a Gram matrix is always PSD,
     and the normalized pencil has unit diagonal so its λ_min is at most 1.
-    Empty family: vacuously 1.  Decided on the set's count table
-    (:func:`_bracket`).
+    Empty family: vacuously 1.  Every verdict is one pass over the set's
+    count table (:func:`_bracket`, :meth:`_CountTree.psd`).
     """
     grid = _bracket_grid(width)
     tree, p = _table_tree(region, p, depth)
@@ -234,44 +230,27 @@ def _bracket_grid(width: Fraction) -> Tuple[Fraction, int]:
     return Fraction(2, top), top
 
 
-def _gallop(holds, top: int, start: int) -> Tuple[int, int]:
-    """(lo, hi) around the last k with holds(k) for a monotone ``holds``,
-    holds(lo) and not holds(hi), found from ``start`` in [0, top) by steps
-    that double; 0 counts as true and top as false, neither asked.
-
-    With the answer at start, two checks: start and start + 1.
-    """
-    if start == 0 or holds(start):
-        lo, step = start, 1
-        while lo + step < top and holds(lo + step):
-            lo, step = lo + step, 2 * step
-        return lo, min(lo + step, top)
-    hi, step = start, 1
-    while hi - step > 0 and not holds(hi - step):
-        hi, step = hi - step, 2 * step
-    return max(hi - step, 0), hi
-
-
 def _bracket(
     tree: "_CountTree", p: Fraction, grid: Tuple[Fraction, int], guess: float = math.nan
 ) -> Fraction:
     """The largest k·step on the grid (step, top) of :func:`_bracket_grid`
-    with G − k·step·D ⪰ 0 exactly, D the diagonal of G, on the pencil of the
-    tree's integer counts: G and D scaled alike by the unit, which leaves
-    every verdict unchanged.  The verdicts are monotone in k (D ⪰ 0), so any
-    start finds the bisection's answer: a finite ``guess``, the float λ_min,
-    only picks the start ⌊guess/step⌋; without one it bisects [0, 2].
+    with G − k·step·D ⪰ 0 exactly, D the diagonal of G, each verdict one
+    :meth:`_CountTree.psd` pass.  The verdicts are monotone in k (D ⪰ 0), so
+    a finite ``guess``, the float λ_min, only picks the first two points
+    asked, k = ⌊guess/step⌋ and k + 1; bisection finds the answer in what is
+    left of [0, top], so a wrong guess costs at most log₂(top) more.
     """
-    family, (diagonal, lower) = tree.store(p)
+    family = tree.family(p)
     if not family:
         return Fraction(1)
     step, top = grid
-    gram = GramMatrix(diagonal, lower)
-    holds = lambda k: psd_certificate(gram, k * step, diagonal)
+    holds = lambda k: tree.psd(family, k * step)
     lo, hi = 0, top  # true at 0, false at top; neither is asked
     if math.isfinite(guess):
         start = min(max(math.floor(Fraction(guess) / step), 0), top - 1)
-        lo, hi = _gallop(holds, top, start)
+        for k in (start, start + 1):
+            if lo < k < hi:
+                lo, hi = (k, hi) if holds(k) else (lo, k)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if holds(mid) else (lo, mid)
@@ -296,8 +275,9 @@ class _CountTree:
     for node v = 2^level + index, numbered as in a heap (halves 2v and
     2v + 1, parent v >> 1).  A member's mass is its count and its slope
     |rh ∩ E| − |lh ∩ E| the difference of its halves' counts, exact and free
-    of Fractions.  :meth:`from_cells` builds the table of a candidate's cell
-    flags and keeps ``cells``, which :meth:`toggle` flips one at a time.
+    of Fractions.  Exact verdicts are read off the table (:meth:`psd`).
+    :meth:`from_cells` builds the table of a candidate's cell flags and keeps
+    ``cells``, which :meth:`toggle` flips one at a time.
     """
 
     __slots__ = ("counts", "unit", "depth", "memo", "cells")
@@ -335,26 +315,46 @@ class _CountTree:
         """The admissible nodes of level ≤ depth, in (level, index) order."""
         return admissible_nodes(self.counts, self.unit, self.depth, p)
 
-    def store(self, p: Fraction, unit: Optional[int] = None) -> Tuple[List[int], tuple]:
-        """The admissible family and its Gram store (diagonal, lower), written
-        by :func:`build_gram`'s walk (:func:`gram._chain_store`) from each
-        member's mass and slope in counts (the store of ``build_gram`` times
-        the unit) or, given ``unit``, each divided by it into a float."""
-        counts = self.counts
-        family = self.family(p)
-        mass = [counts[v] for v in family]
-        slope = [counts[2 * v + 1] - counts[2 * v] for v in family]
-        if unit is not None:
-            mass, slope = [m / unit for m in mass], [s / unit for s in slope]
-        return family, _chain_store(family, mass, slope)
+    def psd(self, family: List[int], shift: Fraction) -> bool:
+        """Exact truth of G − shift·D ⪰ 0, D the diagonal of G, for distinct
+        member nodes of level ≤ depth: an LDLᵀ eliminating each member before
+        its ancestors, in one pass from node 2^(depth+1) − 1 down to node 1.
+        With T(v) the sum of t = slope²/pivot over the members under v, member
+        v has pivot = (1 − shift)·counts[v] − T(2v) − T(2v+1) and slope =
+        counts[2v+1] − counts[2v] − (T(2v+1) − T(2v)), as G[I, J] = ±slope(I),
+        + when I ⊂ rh(J) ⊊ J.  A negative pivot means not PSD; so does a zero
+        pivot whose slope survives under a member ancestor (a 2×2 minor of
+        determinant −slope²).  Any other zero pivot adds 0."""
+        counts, members = self.counts, set(family)
+        bottom = 2 << self.depth
+        sums = [0] * (2 * bottom)
+        keep = 1 - shift
+        for v in range(bottom - 1, 0, -1):
+            left, right = sums[2 * v], sums[2 * v + 1]
+            total = left + right
+            if v in members:
+                pivot = keep * counts[v] - total
+                slope = counts[2 * v + 1] - counts[2 * v] - (right - left)
+                if pivot < 0:
+                    return False
+                if pivot:
+                    total += slope * slope / pivot
+                elif slope and any(v >> k in members for k in range(1, v.bit_length())):
+                    return False
+            sums[v] = total
+        return True
 
     def pencil(self, p: Fraction) -> Tuple[List[int], np.ndarray]:
         """The admissible family and the float view of its normalized Gram
         matrix, entry for entry the bits of ``build_gram(..., True).as_float()``:
-        int/int division rounds correctly, as ``float`` of the Fraction does,
-        and the store goes through the fill of :meth:`GramMatrix.as_float`
-        (:func:`float_view`)."""
-        family, (diagonal, lower) = self.store(p, self.unit)
+        masses and slopes are counts over the unit, int/int division rounds as
+        ``float`` of the Fraction does, and the store of :func:`_chain_store`
+        goes through the fill of :meth:`GramMatrix.as_float` (:func:`float_view`)."""
+        counts, unit = self.counts, self.unit
+        family = self.family(p)
+        mass = [counts[v] / unit for v in family]
+        slope = [(counts[2 * v + 1] - counts[2 * v]) / unit for v in family]
+        diagonal, lower = _chain_store(family, mass, slope)
         return family, float_view(diagonal, lower, normalized=True)
 
     def extremes(self, p: Fraction) -> Tuple[float, float, int]:

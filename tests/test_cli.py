@@ -263,6 +263,17 @@ class TestExitCodes:
             pytest.param(["gram", "--set"], b"\xff\xfe{", id="set-not-utf8"),
             pytest.param(["induction-check", "--coeffs"], {"coeffs": [{"level": 1}]}, id="no-index"),
             pytest.param(["induction-check", "--coeffs"], {"coeffs": 5}, id="coeffs-not-a-list"),
+            pytest.param(
+                ["induction-check", "--coeffs"],
+                {"coeffs": [{"level": 1.9, "index": 0.7, "a": "1"}]},
+                id="float-level-and-index",
+            ),
+            pytest.param(
+                ["induction-check", "--coeffs"],
+                {"coeffs": [{"level": True, "index": 0, "a": "1"}]},
+                id="bool-level",
+            ),
+            pytest.param(["gram", "--set"], {"intervals": [["0", "1/2", "junk"]]}, id="long-pair"),
             pytest.param(["constants", "--p-list"], None, id="p-list-directory"),
             pytest.param(["constants", "--p-list"], b"3/4,\xff", id="p-list-not-utf8"),
         ],

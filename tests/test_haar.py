@@ -373,6 +373,15 @@ class TestCoefficientMap:
         assert at_cap.max_level() == MAX_JSON_LEVEL
         assert zigzag_coefficients(MAX_TABLE_N).max_level() == 2 * MAX_TABLE_N
 
+    @pytest.mark.parametrize(
+        "level,index", [(1.9, 0), (1, 0.7), (1.0, 0), (True, 0), (1, False), ("1", 0), (None, 0)]
+    )
+    def test_json_level_and_index_are_integers(self, level, index):
+        # int() would truncate 1.9 to 1 and read true as 1
+        data = {"coeffs": [{"level": level, "index": index, "a": "1"}]}
+        with pytest.raises(InputError, match="coefficient JSON must be"):
+            CoefficientMap.from_json_dict(json.dumps(data))
+
     def test_duplicate_keys_in_json(self):
         entries = [
             {"level": 2, "index": 1, "a": "1/1"},

@@ -480,3 +480,11 @@ class TestJson:
     def test_rejects_garbage(self):
         with pytest.raises(InputError):
             StepSet.from_json_dict({"nope": []})
+
+    @pytest.mark.parametrize(
+        "intervals",
+        [[["0", "1/2", "junk"]], [["0"]], [[]], ["01"], [{"0": "1"}], 5, {"0": "1"}],
+    )
+    def test_each_interval_is_a_list_of_two_ends(self, intervals):
+        with pytest.raises(InputError, match="step set JSON must be"):
+            StepSet.from_json_dict({"intervals": intervals})

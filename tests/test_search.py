@@ -36,6 +36,7 @@ from haar_riesz.cli import run
 from haar_riesz import haar as haar_module
 from haar_riesz import search
 from haar_riesz.counterexample import TWO_THIRDS_SET
+from haar_riesz.gram import _chain_store
 from haar_riesz.haar import MAX_DEPTH, halves
 from haar_riesz.search import MAX_RESOLUTION, _CountTree, _draw_cells
 
@@ -159,8 +160,8 @@ class TestCertifiedLowerBound:
         def unreachable(*args):
             raise AssertionError("work done before the width was checked")
 
-        for name in ("dyadic_counts", "psd_certificate"):
-            monkeypatch.setattr(search, name, unreachable)
+        monkeypatch.setattr(search, "dyadic_counts", unreachable)
+        monkeypatch.setattr(_CountTree, "psd", unreachable)
         with pytest.raises(InputError, match="width"):
             certified_lower_bound(FULL, F(1, 2), 3, width)
 
@@ -283,7 +284,9 @@ class TestTreeBracket:
     @pytest.mark.parametrize("depth,resolution,p,bias", [
         (4, 6, F(43, 64), 0.7), (5, 4, F(3, 4), 0.9), (3, 7, F(1, 2), 0.5),
     ])
-    def test_any_guess_gives_the_same_bracket(self, offset, depth, resolution, p, bias):
+    def test_any_guess_gives_the_same_bracket(
+        self, monkeypatch, offset, depth, resolution, p, bias
+    ):
         cells = _draw_cells(resolution, bias, derive_seed(0x6E55, depth))
         low = _CountTree.from_cells(list(cells), depth).extremes(p)[0]
         guess = {
@@ -299,9 +302,17 @@ class TestTreeBracket:
             "inf": float("inf"),
             "-inf": float("-inf"),
         }[offset]
+        verdicts = []
+        verdict = _CountTree.psd
+        monkeypatch.setattr(
+            _CountTree, "psd", lambda *args: verdicts.append(args) or verdict(*args)
+        )
         tree_value, reference = bracket_case(cells, depth, p, guess)
         assert tree_value == reference
         assert 0 < reference < 1
+        # the start's two points, then a bisection of what is left of [0, top]
+        _, top = search._bracket_grid(F(1, 1 << 20))
+        assert len(verdicts) <= 2 + top.bit_length() - 1
 
     @pytest.mark.parametrize("mode", ["random", "greedy-flip"])
     @pytest.mark.parametrize("p", BRACKET_PS)
@@ -325,13 +336,13 @@ class TestTreeBracket:
         """At the benchmark's settings the float λ_min lies inside its grid
         cell, so the bracket asks exactly ⌊λ·2²⁰⌋ and the next point."""
         shifts = []
-        certificate = search.psd_certificate
+        verdict = _CountTree.psd
 
-        def recorded(gram, shift, diag):
+        def recorded(tree, family, shift):
             shifts.append(shift)
-            return certificate(gram, shift, diag)
+            return verdict(tree, family, shift)
 
-        monkeypatch.setattr(search, "psd_certificate", recorded)
+        monkeypatch.setattr(_CountTree, "psd", recorded)
         for k in range(4):
             shifts.clear()
             result = search_extremal(
@@ -348,6 +359,106 @@ class TestTreeBracket:
             low = result.certificate_lower
             assert F(result.best_ratio) - low < F(1, 1 << 20)
             assert shifts == [low, low + F(1, 1 << 20)]
+
+
+def store_verdict(tree, family, shift):
+    """Reference verdict: the generic LDLᵀ (``psd_certificate``) on the
+    integer Gram store of the same family, written by ``_chain_store``."""
+    counts = tree.counts
+    mass = [counts[v] for v in family]
+    slope = [counts[2 * v + 1] - counts[2 * v] for v in family]
+    diagonal, lower = _chain_store(family, mass, slope)
+    return psd_certificate(GramMatrix(diagonal, lower), shift, diagonal)
+
+
+def pass_edges(tree, family):
+    """lo and lo + 2⁻²⁰, lo the largest multiple of 2⁻²⁰ in [0, 2) at which
+    the pass holds: bisection with the pass itself, as the bracket runs it."""
+    lo, hi = 0, 1 << 21
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if tree.psd(family, F(mid, 1 << 20)) else (lo, mid)
+    return [F(lo, 1 << 20), F(lo + 1, 1 << 20)]
+
+
+PASS_SHIFTS = [F(0), F(1, 2), F(1), F(3, 2)]
+
+# cells drawn at a bias: high biases make root-dense families
+pass_cells = st.tuples(
+    st.integers(1, 7), st.sampled_from([0.3, 0.5, 0.7, 0.8, 0.9, 1.0]), st.integers(0, 1 << 32)
+).map(lambda args: _draw_cells(*args))
+
+
+class TestPivotPass:
+    """The count table's one-pass PSD verdict equals the generic LDLᵀ on the
+    integer Gram store of the same family, at fixed shifts and at the edges
+    of the pass's own bracket."""
+
+    def assert_agrees(self, tree, family):
+        for shift in PASS_SHIFTS + pass_edges(tree, family):
+            assert tree.psd(family, shift) is store_verdict(tree, family, shift), shift
+
+    @given(st.integers(0, 6), pass_cells, st.data())
+    @settings(max_examples=80)
+    def test_arbitrary_subsets(self, depth, cells, data):
+        # members of any density, zero-mass members included
+        tree = _CountTree.from_cells(cells, depth)
+        nodes = range(1, 2 << depth)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(nodes), max_size=len(nodes)))
+        self.assert_agrees(tree, [v for v, kept in zip(nodes, keep) if kept])
+
+    @given(st.integers(0, 6), pass_cells, st.sampled_from(BRACKET_PS))
+    @settings(max_examples=80)
+    def test_admissible_families(self, depth, cells, p):
+        tree = _CountTree.from_cells(cells, depth)
+        self.assert_agrees(tree, tree.family(p))
+
+    @given(step_sets(denominators=(3, 5, 7, 21, 64)), st.integers(0, 5), st.sampled_from(BRACKET_PS))
+    @settings(max_examples=40)
+    def test_tables_of_non_dyadic_sets(self, region, depth, p):
+        tree, p = search._table_tree(region, p, depth)
+        self.assert_agrees(tree, tree.family(p))
+
+    def test_zero_pivot_without_a_member_ancestor_holds(self):
+        tree = _CountTree.from_cells([True, False, True, True], 2)
+        assert tree.counts[3] != tree.counts[2]  # the root's slope
+        assert tree.psd([1], F(1)) is store_verdict(tree, [1], F(1)) is True
+
+    def test_zero_pivot_under_a_member_with_a_slope_fails(self):
+        tree = _CountTree.from_cells([True, False, True, True], 2)
+        assert tree.counts[5] != tree.counts[4]  # the slope of [0, 1/2)
+        assert tree.psd([1, 2], F(1)) is store_verdict(tree, [1, 2], F(1)) is False
+
+    def test_member_that_the_set_misses_is_skipped(self):
+        # [1/2, 1) holds no point of E: its pivot and slope are 0 at every shift
+        tree = _CountTree.from_cells([True, True, False, False], 2)
+        assert tree.counts[3] == 0
+        for shift in PASS_SHIFTS:
+            verdict = tree.psd([1, 3], shift)
+            assert verdict is tree.psd([1], shift) is store_verdict(tree, [1, 3], shift)
+        assert tree.psd([1, 3], F(1)) is True
+
+    @given(st.integers(0, 6), pass_cells, st.sampled_from(BRACKET_PS))
+    @settings(max_examples=40)
+    def test_reflection_keeps_every_verdict(self, depth, cells, p):
+        # x ↦ 1 − x maps node 2^l + i to 2^l + (2^l − 1 − i) and negates
+        # every slope and every half-sign, so each entry of G is unchanged
+        tree = _CountTree.from_cells(cells, depth)
+        mirror = _CountTree.from_cells(cells[::-1], depth)
+        family = tree.family(p)
+        reflected = [(3 << (v.bit_length() - 1)) - 1 - v for v in family]
+        assert sorted(reflected) == mirror.family(p)
+        for shift in PASS_SHIFTS + pass_edges(tree, family):
+            assert tree.psd(family, shift) is mirror.psd(reflected, shift)
+
+    @given(st.integers(0, 6), pass_cells, st.sampled_from(BRACKET_PS))
+    @settings(max_examples=40)
+    def test_monotone_in_the_shift(self, depth, cells, p):
+        tree = _CountTree.from_cells(cells, depth)
+        family = tree.family(p)
+        shifts = sorted(PASS_SHIFTS + pass_edges(tree, family) + [F(k, 7) for k in range(15)])
+        verdicts = [tree.psd(family, shift) for shift in shifts]
+        assert verdicts == sorted(verdicts, reverse=True)
 
 
 class TestSearchExtremal:
@@ -686,7 +797,8 @@ class TestCandidateWork:
         tie-break; one StepSet is built, for the final winner, and no Fraction
         route runs.  Count trees are built from cells for candidates only:
         the winner's table is read off its set in one sweep, as every other
-        set's is, and bracketed in at most three exact checks."""
+        set's is, and bracketed in at most three passes over it; the generic
+        LDLᵀ never runs."""
         calls = Counter()
 
         def counted(name, function):
@@ -702,7 +814,7 @@ class TestCandidateWork:
             (gram_module, "build_gram"),
             (search, "certified_lower_bound"),
             (search, "dyadic_counts"),
-            (search, "psd_certificate"),
+            (gram_module, "psd_certificate"),
             (gram_module, "eig_bounds"),
             (search, "cell_runs"),
         ):
@@ -714,6 +826,7 @@ class TestCandidateWork:
         monkeypatch.setattr(
             _CountTree, "from_cells", classmethod(counted("tree_from_cells", tree_from_cells))
         )
+        monkeypatch.setattr(_CountTree, "psd", counted("tree_psd", _CountTree.psd))
         ratios = []
         score = search._score
 
@@ -744,7 +857,8 @@ class TestCandidateWork:
         assert calls["certified_lower_bound"] == 0
         assert calls["dyadic_counts"] == 1  # the winner's table, from its set
         assert calls["tree_from_cells"] == (cfg.iterations if mode == "random" else 1)
-        assert 1 <= calls["psd_certificate"] <= 3
+        assert 1 <= calls["tree_psd"] <= 3
+        assert calls["psd_certificate"] == 0
         assert calls["random_stepset"] == 0
         assert calls["eig_bounds"] == 0
 
