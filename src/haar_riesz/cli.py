@@ -20,12 +20,12 @@ from .constants import comparison_table
 from .counterexample import counterexample_table, partial_sum_structure
 from .errors import ConsistencyError, ConvergenceError, InputError
 from .gram import (
-    bessel_certificate,
     build_gram,
     check_dense,
     eig_bounds,
     perturbation_demo,
-    psd_certificate,
+    verify_bessel,
+    verify_riesz,
 )
 from .haar import CoefficientMap, enumerate_family
 from .measure import StepSet
@@ -81,11 +81,11 @@ def cmd_gram(args) -> int:
     else:
         report["pencil_eig"] = None
     if args.c is not None:
-        certified = psd_certificate(gram, args.c, gram.diagonal)
+        certified = verify_riesz(family, region, args.c)
         report["riesz"] = {"c": format_rational(args.c), "certified": certified}
         ok = ok and certified
     if args.bessel:
-        certified = bessel_certificate(gram, args.p)
+        certified = verify_bessel(family, region, args.p)
         report["bessel"] = {"bound": format_rational(Fraction(1) / args.p), "certified": certified}
         ok = ok and certified
     shown = pencil if args.normalized else gram

@@ -7,15 +7,16 @@ pairwise reference :func:`haar.inner_product`; dense rows only on request.
 
 Two verification routes live here and are kept deliberately independent:
 
-* an exact route — one rational LDLᵀ, eliminating members from the last
-  index to the first, decides positive semidefiniteness of the pencil
-  G − c·D with no rounding at all.  It serves any given Gram matrix and any
-  family, repeated members and families past the dense count table
-  included: :func:`verify_riesz`, :func:`verify_bessel` and the ``gram``
-  command's ``--c``/``--bessel`` verdicts.  The search's certified brackets
-  decide on their count tables instead (``search._CountTree.psd``, the same
-  elimination as one pass over the dyadic tree), and this LDLᵀ checks them
-  in the tests;
+* an exact route — the paper's level-by-level induction run as an
+  elimination, :func:`_pivot_psd`: one pass over a family's members, deepest
+  first, decides positive semidefiniteness of the pencil G − c·D with no
+  rounding at all and no matrix.  It decides every family verdict, from
+  integer masses and slopes: :func:`verify_riesz`, :func:`verify_bessel`,
+  the ``gram`` command's ``--c``/``--bessel`` verdicts and the search's
+  certified brackets (read off its count table).  A given Gram matrix, with
+  no tree behind it, is decided by one rational LDLᵀ (:func:`_ldlt_psd`,
+  through :func:`psd_certificate` and :func:`bessel_certificate`), which the
+  tests use as the pass's independent reference;
 * a float route — one cyclic Jacobi eigensolver on the float64 view, used
   to drive searches and to cross-check the exact certificates.  Two members
   of a family share a nonzero entry only when one is an ancestor of the
@@ -30,6 +31,7 @@ Two verification routes live here and are kept deliberately independent:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -203,18 +205,11 @@ def _chain_store(nodes: Sequence[int], mass: Sequence, slope: Sequence) -> tuple
     return tuple(mass), tuple(map(tuple, lower))
 
 
-def build_gram(
-    family: Sequence[DyadicInterval], region: StepSet, normalized: bool = False
-) -> GramMatrix:
-    """Exact Gram matrix of {h_I · 1_E : I in family}.
-
-    Dyadic intervals are nested or disjoint, so the only nonzero entries pair
-    a member with its ancestors: for J ⊋ I, ⟨h_I 1_E, h_J 1_E⟩ = ±(|rh(I)∩E| −
-    |lh(I)∩E|), with + when I ⊂ rh(J).  Each member's mass and slope come from
-    one sweep of E, and :func:`_chain_store` writes the entries along each
-    member's ancestor chain: O(n·depth) entries, and no dense matrix.
-    """
-    family = tuple(family)
+def _member_measures(family: Sequence[DyadicInterval], region: StepSet) -> tuple:
+    """(nodes, unit, mass, slope): member i is heap node nodes[i] =
+    2^level + index, with |I∩E| = mass[i]/unit and |rh(I)∩E| − |lh(I)∩E| =
+    slope[i]/unit, all integers from one :func:`measures_below` sweep at the
+    members' ends and midpoints."""
     top = max((interval.level for interval in family), default=0) + 1
     # ends of each member and of its halves, in units of 2^-top
     ends = [
@@ -227,16 +222,34 @@ def build_gram(
     mass, slope = [], []
     for left, half in ends:
         lo, mid, hi = below[left], below[left + half], below[left + 2 * half]
-        mass.append(Fraction(hi - lo, unit))
-        slope.append(Fraction((hi - mid) - (mid - lo), unit))
+        mass.append(hi - lo)
+        slope.append((hi - mid) - (mid - lo))
+    nodes = [(1 << interval.level) | interval.index for interval in family]
+    return nodes, unit, mass, slope
+
+
+def build_gram(
+    family: Sequence[DyadicInterval], region: StepSet, normalized: bool = False
+) -> GramMatrix:
+    """Exact Gram matrix of {h_I · 1_E : I in family}.
+
+    Dyadic intervals are nested or disjoint, so the only nonzero entries pair
+    a member with its ancestors: for J ⊋ I, ⟨h_I 1_E, h_J 1_E⟩ = ±(|rh(I)∩E| −
+    |lh(I)∩E|), with + when I ⊂ rh(J).  Each member's mass and slope come from
+    one sweep of E (:func:`_member_measures`), and :func:`_chain_store` writes
+    the entries along each member's ancestor chain: O(n·depth) entries, and
+    no dense matrix.
+    """
+    family = tuple(family)
+    nodes, unit, mass, slope = _member_measures(family, region)
+    mass = [Fraction(m, unit) for m in mass]
     if normalized:
         for interval, m in zip(family, mass):
             if m == 0:
                 raise InputError(
                     f"cannot normalize: {interval} has zero restricted norm"
                 )
-    nodes = [(1 << interval.level) | interval.index for interval in family]
-    diagonal, lower = _chain_store(nodes, mass, slope)
+    diagonal, lower = _chain_store(nodes, mass, [Fraction(s, unit) for s in slope])
     return GramMatrix(diagonal, lower, family, normalized)
 
 
@@ -306,23 +319,87 @@ def psd_certificate(
     return _ldlt_psd(pivots, [dict(row) for row in gram.lower])
 
 
+def _pivot_psd(nodes: Sequence[int], pivots: Sequence, slopes: Sequence) -> bool:
+    """Exact truth of G − c·D ⪰ 0 for distinct dyadic members, from each
+    member's diagonal entry pivots[i] = G_ii − c·D_ii and slope slopes[i] =
+    s_i, where G[I, J] = ±s_I for members I ⊊ J, + when I ⊂ rh(J), and every
+    other pair is orthogonal.  Members are heap numbers nodes[i] (2^level +
+    index, parent v >> 1) in any order and at any level; pivots are
+    Fractions.
+
+    The paper's level-by-level induction as an elimination: the members are
+    visited in descending node number, so each goes before its ancestors.
+    Member v keeps L and R, the sums of t over the members below it in its
+    left and right halves; eliminating them leaves v the pivot G_vv − c·D_vv
+    − L − R and, towards every member ancestor, the slope s_v − (R − L).  A
+    negative pivot means not PSD; so does a zero pivot whose slope survives
+    under a member ancestor (a 2×2 minor of determinant −slope²).
+    Otherwise t = slope²/pivot, or 0 at a zero pivot, and L + R + t goes to
+    v's nearest member ancestor, into the half that holds v.  No matrix is
+    built: O(n·depth) steps.
+    """
+    entry = dict(zip(nodes, zip(pivots, slopes)))
+    below: dict = {}  # half 2a or 2a + 1 of member a -> the sum of t under it
+    for v in sorted(entry, reverse=True):
+        pivot, slope = entry[v]
+        left, right = below.pop(2 * v, 0), below.pop(2 * v + 1, 0)
+        total = left + right
+        pivot -= total
+        slope -= right - left
+        if pivot < 0:
+            return False
+        half = v  # climbs to the half of v's nearest member ancestor that holds v
+        while half > 1 and half >> 1 not in entry:
+            half >>= 1
+        if half == 1:
+            continue
+        if pivot:
+            total += slope * slope / pivot
+        elif slope:
+            return False
+        below[half] = below[half] + total if half in below else total
+    return True
+
+
+def _folded_members(family: Sequence[DyadicInterval], region: StepSet) -> tuple:
+    """(nodes, mass, slope, copies) of the family's distinct members: integer
+    masses and slopes over one unit, as in :func:`_member_measures`, and how
+    often each member is listed."""
+    copies = Counter(family)
+    nodes, _, mass, slope = _member_measures(list(copies), region)
+    return nodes, mass, slope, list(copies.values())
+
+
 def verify_riesz(
     family: Sequence[DyadicInterval], region: StepSet, c: Fraction
 ) -> bool:
     """Exactly decide ‖Σ a_I h_I 1_E‖² ≥ c · Σ a_I² ‖h_I 1_E‖² over the family.
 
-    Works on the unnormalized pencil G − c·D with D the diagonal of restricted
-    norms, so no square roots are ever materialized.
+    Decided by :func:`_pivot_psd` on the pencil G − c·D, D the diagonal of
+    restricted norms, with pivots (1 − c)·|I∩E|; G and D are scaled alike by
+    the sweep's unit, so no Fraction Gram matrix and no square root is
+    built.  With c > 0, a member of positive mass listed twice fails: the
+    coefficients a and −a on its copies make the left side 0 and the right
+    side positive.  Members of zero mass drop out on their own.
     """
-    gram = build_gram(family, region, normalized=False)
-    return psd_certificate(gram, Fraction(c), gram.diagonal)
+    c = Fraction(c)
+    nodes, mass, slope, copies = _folded_members(family, region)
+    if c > 0 and any(k > 1 and m for m, k in zip(mass, copies)):
+        return False
+    keep = 1 - c
+    return _pivot_psd(nodes, [keep * m for m in mass], slope)
+
+
+def _check_threshold(p) -> Fraction:
+    p = Fraction(p)
+    if not 0 < p <= 1:
+        raise InputError(f"threshold must satisfy 0 < p <= 1, got {p}")
+    return p
 
 
 def bessel_certificate(gram: GramMatrix, p: Fraction) -> bool:
     """Exact truth of the upper bound (1/p)·D − G ⪰ 0, D the diagonal of G."""
-    p = Fraction(p)
-    if not 0 < p <= 1:
-        raise InputError(f"threshold must satisfy 0 < p <= 1, got {p}")
+    p = _check_threshold(p)
     pivots = [d / p - d for d in gram.diagonal]
     lower = [{j: -x for j, x in row} for row in gram.lower]
     return _ldlt_psd(pivots, lower)
@@ -331,8 +408,18 @@ def bessel_certificate(gram: GramMatrix, p: Fraction) -> bool:
 def verify_bessel(
     family: Sequence[DyadicInterval], region: StepSet, p: Fraction
 ) -> bool:
-    """Exact truth of the upper bound (1/p)·D − G ⪰ 0 on an admissible family."""
-    return bessel_certificate(build_gram(family, region, normalized=False), p)
+    """Exact truth of the upper bound (1/p)·D − G ⪰ 0 on a family.
+
+    Decided by :func:`_pivot_psd` with pivots (1/p − 1)·|I∩E| and the slopes
+    negated.  The k copies of a member listed k times act as one member
+    whose D-entry is |I∩E|/k: for a fixed sum b of their coefficients, the
+    spread Σ a² is least, b²/k, when the coefficients are equal.  So its
+    pivot is (1/(p·k) − 1)·|I∩E|.
+    """
+    p = _check_threshold(p)
+    nodes, mass, slope, copies = _folded_members(family, region)
+    pivots = [(1 / (p * k) - 1) * m for m, k in zip(mass, copies)]
+    return _pivot_psd(nodes, pivots, [-s for s in slope])
 
 
 # --------------------------------------------------------------------------

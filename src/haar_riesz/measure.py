@@ -305,6 +305,9 @@ def heap_sums(leaves: Sequence[int]) -> List[int]:
     return counts
 
 
+MAX_TABLE_BITS = 1 << 30  # a count table's integers at their widest: 128 MiB
+
+
 def dyadic_counts(region: StepSet, deepest: int) -> Tuple[int, List[int]]:
     """(unit, counts): |E ∩ I| = counts[2^level + index] / unit for every
     dyadic interval I = (level, index) of level ≤ ``deepest``.
@@ -313,7 +316,18 @@ def dyadic_counts(region: StepSet, deepest: int) -> Tuple[int, List[int]]:
     cells gives that level as integers over ``unit``, the least common
     denominator of its values, and each coarser node is the sum of its
     halves (:func:`heap_sums`).  A level's counts are the slice
-    ``counts[1 << level : 2 << level]``.
+    ``counts[1 << level : 2 << level]``.  Each of the 2^(deepest+1) counts
+    may be as wide as the sweep's grid, whose step every distinct endpoint
+    denominator shortens, so a table that could exceed MAX_TABLE_BITS is
+    refused before the sweep.
     """
+    grid = lcm(1 << deepest, *(end.denominator for end in region.ends))
+    bits = (2 << deepest) * grid.bit_length()
+    if bits > MAX_TABLE_BITS:
+        raise InputError(
+            f"the level-{deepest} count table could take {bits} bits, more "
+            f"than the budget of {MAX_TABLE_BITS}: the set's endpoint "
+            "denominators are too large for this depth"
+        )
     unit, below = measures_below(region, deepest, range((1 << deepest) + 1))
     return unit, heap_sums(list(map(sub, below[1:], below[:-1])))

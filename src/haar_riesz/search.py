@@ -17,11 +17,13 @@ ratio are broken on the integer runs of the cells, and a StepSet is built
 only for the final winner or for a candidate that fails a spectral check.
 
 The certified bracket decides each exact PSD verdict by one pass over the
-integer counts (:meth:`_CountTree.psd`), the paper's level-by-level
-induction run as an elimination, with G and D scaled alike by the unit.
-The verdicts are monotone in the constant, so a search asks its winner's
-float λ_min and the next grid point first and usually needs no more; the
-float never decides.  The tests check each verdict against the generic LDLᵀ
+family's members (:func:`gram._pivot_psd`), the paper's level-by-level
+induction run as an elimination, with integer masses and slopes read off the
+count table: G and D are scaled alike by the unit.  The same pass decides
+every other family verdict (``verify_riesz``, ``verify_bessel``).  The
+verdicts are monotone in the constant, so a search asks its winner's float
+λ_min and the next grid point first and usually needs no more; the float
+never decides.  The tests check each verdict against the generic LDLᵀ
 (:func:`gram.psd_certificate`) and keep the Fraction routes these values
 equal bit for bit as references (``tests/conftest.py``).  All randomness
 flows through an explicit splitmix64 generator so results are reproducible
@@ -39,7 +41,7 @@ import numpy as np
 
 from .constants import riesz_constant
 from .errors import ConsistencyError, InputError
-from .gram import _chain_store, _extreme_eigenvalues, float_view
+from .gram import _chain_store, _extreme_eigenvalues, _pivot_psd, float_view
 from .haar import admissible_nodes, check_family_args
 from .measure import StepSet, cell_runs, dyadic_counts, heap_sums
 
@@ -55,6 +57,7 @@ _GREEDY_RESTART_STREAM = 1 << 32  # seed-derivation offsets for greedy substream
 _GREEDY_FLIP_STREAM = 1 << 33
 
 MAX_RESOLUTION = 16  # a step set is drawn cell by cell: 2^16 cells at the cap
+MAX_ITERATIONS = 100_000  # a search keeps one float ratio per iteration
 
 
 def splitmix64(state: int) -> Tuple[int, int]:
@@ -134,8 +137,10 @@ class SearchConfig:
         object.__setattr__(self, "p", check_family_args(self.depth, self.p))
         object.__setattr__(self, "seed", self.seed & _MASK64)
         _check_cells(self.cell_resolution, self.density_bias)
-        if self.iterations < 1:
-            raise InputError(f"iterations must be >= 1, got {self.iterations}")
+        if not 1 <= self.iterations <= MAX_ITERATIONS:
+            raise InputError(
+                f"iterations must lie in [1, {MAX_ITERATIONS}], got {self.iterations}"
+            )
         if self.mode not in ("random", "greedy-flip"):
             raise InputError(f"unknown search mode {self.mode!r}")
 
@@ -211,8 +216,9 @@ def certified_lower_bound(
     Returns lo with the certificate exactly true at lo and exactly false at
     lo + width.  The bracket starts at [0, 2]: a Gram matrix is always PSD,
     and the normalized pencil has unit diagonal so its λ_min is at most 1.
-    Empty family: vacuously 1.  Every verdict is one pass over the set's
-    count table (:func:`_bracket`, :meth:`_CountTree.psd`).
+    Empty family: vacuously 1.  Every verdict is one pass over the family's
+    members with their masses and slopes read off the set's count table
+    (:func:`_bracket`, :func:`gram._pivot_psd`).
     """
     grid = _bracket_grid(width)
     tree, p = _table_tree(region, p, depth)
@@ -234,17 +240,26 @@ def _bracket(
     tree: "_CountTree", p: Fraction, grid: Tuple[Fraction, int], guess: float = math.nan
 ) -> Fraction:
     """The largest k·step on the grid (step, top) of :func:`_bracket_grid`
-    with G − k·step·D ⪰ 0 exactly, D the diagonal of G, each verdict one
-    :meth:`_CountTree.psd` pass.  The verdicts are monotone in k (D ⪰ 0), so
-    a finite ``guess``, the float λ_min, only picks the first two points
-    asked, k = ⌊guess/step⌋ and k + 1; bisection finds the answer in what is
-    left of [0, top], so a wrong guess costs at most log₂(top) more.
+    with G − k·step·D ⪰ 0 exactly, D the diagonal of G.  Each verdict is one
+    :func:`gram._pivot_psd` pass over the members, with pivots
+    (1 − k·step)·counts[v] and slopes counts[2v + 1] − counts[2v].  The
+    verdicts are monotone in k (D ⪰ 0), so a finite ``guess``, the float
+    λ_min, only picks the first two points asked, k = ⌊guess/step⌋ and
+    k + 1; bisection finds the answer in what is left of [0, top], so a wrong
+    guess costs at most log₂(top) more.
     """
     family = tree.family(p)
     if not family:
         return Fraction(1)
     step, top = grid
-    holds = lambda k: tree.psd(family, k * step)
+    counts = tree.counts
+    mass = [counts[v] for v in family]
+    slope = [counts[2 * v + 1] - counts[2 * v] for v in family]
+
+    def holds(k: int) -> bool:
+        keep = 1 - k * step
+        return _pivot_psd(family, [keep * m for m in mass], slope)
+
     lo, hi = 0, top  # true at 0, false at top; neither is asked
     if math.isfinite(guess):
         start = min(max(math.floor(Fraction(guess) / step), 0), top - 1)
@@ -275,7 +290,8 @@ class _CountTree:
     for node v = 2^level + index, numbered as in a heap (halves 2v and
     2v + 1, parent v >> 1).  A member's mass is its count and its slope
     |rh ∩ E| − |lh ∩ E| the difference of its halves' counts, exact and free
-    of Fractions.  Exact verdicts are read off the table (:meth:`psd`).
+    of Fractions; the bracket's exact verdicts take them from here
+    (:func:`_bracket`).
     :meth:`from_cells` builds the table of a candidate's cell flags and keeps
     ``cells``, which :meth:`toggle` flips one at a time.
     """
@@ -314,35 +330,6 @@ class _CountTree:
     def family(self, p: Fraction) -> List[int]:
         """The admissible nodes of level ≤ depth, in (level, index) order."""
         return admissible_nodes(self.counts, self.unit, self.depth, p)
-
-    def psd(self, family: List[int], shift: Fraction) -> bool:
-        """Exact truth of G − shift·D ⪰ 0, D the diagonal of G, for distinct
-        member nodes of level ≤ depth: an LDLᵀ eliminating each member before
-        its ancestors, in one pass from node 2^(depth+1) − 1 down to node 1.
-        With T(v) the sum of t = slope²/pivot over the members under v, member
-        v has pivot = (1 − shift)·counts[v] − T(2v) − T(2v+1) and slope =
-        counts[2v+1] − counts[2v] − (T(2v+1) − T(2v)), as G[I, J] = ±slope(I),
-        + when I ⊂ rh(J) ⊊ J.  A negative pivot means not PSD; so does a zero
-        pivot whose slope survives under a member ancestor (a 2×2 minor of
-        determinant −slope²).  Any other zero pivot adds 0."""
-        counts, members = self.counts, set(family)
-        bottom = 2 << self.depth
-        sums = [0] * (2 * bottom)
-        keep = 1 - shift
-        for v in range(bottom - 1, 0, -1):
-            left, right = sums[2 * v], sums[2 * v + 1]
-            total = left + right
-            if v in members:
-                pivot = keep * counts[v] - total
-                slope = counts[2 * v + 1] - counts[2 * v] - (right - left)
-                if pivot < 0:
-                    return False
-                if pivot:
-                    total += slope * slope / pivot
-                elif slope and any(v >> k in members for k in range(1, v.bit_length())):
-                    return False
-            sums[v] = total
-        return True
 
     def pencil(self, p: Fraction) -> Tuple[List[int], np.ndarray]:
         """The admissible family and the float view of its normalized Gram

@@ -11,6 +11,8 @@ import pytest
 from haar_riesz import CoefficientMap, DyadicInterval, StepSet, build_gram, parse_rational
 from haar_riesz.cli import run
 
+from conftest import prime_shifted_set
+
 
 @pytest.fixture
 def two_thirds_file(tmp_path):
@@ -100,8 +102,9 @@ def test_gram_bessel_and_csv(two_thirds_file, tmp_path, capsys):
 
 
 def test_gram_built_once_with_unchanged_output(two_thirds_file, monkeypatch, capsys):
-    # one exact Gram serves the pencil bounds, both verdicts and the shown
-    # view; the expected reports are the output of four separate builds
+    # one exact Gram serves the pencil bounds and the shown view, and the
+    # pivot pass decides both verdicts without one; the expected reports are
+    # the output of four separate builds
     import haar_riesz.cli as cli
 
     calls = []
@@ -352,6 +355,42 @@ class TestResourceCaps:
         assert _parse_p_list("7/10:9/10:1/10") == [F(7, 10), F(8, 10), F(9, 10)]
         assert _parse_p_list("1/2:1:1/3") == [F(1, 2), F(5, 6)]
         assert _parse_p_list("1:1/2:1/10") == []
+
+    def test_search_iteration_cap(self, capsys, monkeypatch):
+        from haar_riesz import search
+
+        def reached(*args):
+            raise AssertionError("a candidate was drawn")
+
+        monkeypatch.setattr(search, "_draw_cells", reached)
+        base = ["search", "--p", "3/4", "--depth", "2", "--resolution", "3", "--seed", "1"]
+        for iters in (search.MAX_ITERATIONS + 1, 10**12):
+            assert run(base + ["--iters", str(iters)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("input error: iterations")
+        with pytest.raises(AssertionError):  # the cap itself is accepted
+            run(base + ["--iters", str(search.MAX_ITERATIONS)])
+
+    def test_count_table_bit_budget(self, capsys, monkeypatch, tmp_path):
+        from haar_riesz import measure
+
+        def reached(*args):
+            raise AssertionError("the set was swept")
+
+        monkeypatch.setattr(measure, "measures_below", reached)
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(prime_shifted_set(3000).to_json_dict()))
+        coeffs = tmp_path / "coeffs.json"
+        coeffs.write_text(json.dumps(CoefficientMap({DyadicInterval(0, 0): F(1)}).to_json_dict()))
+        for args in (
+            ["gram", "--set", str(path), "--p", "1/2", "--depth", "16"],
+            ["induction-check", "--set", str(path), "--coeffs", str(coeffs), "--p", "3/4", "--levels", "15"],
+        ):
+            assert run(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("input error: the level-16 count table")
 
     def test_table_and_demo_caps(self, capsys, monkeypatch):
         from haar_riesz import counterexample, gram

@@ -961,6 +961,153 @@ class TestVerifyBessel:
         assert high <= float(1 / p) + 1e-8
 
 
+def ldlt_riesz(family, region, c) -> bool:
+    """The LDLᵀ's Riesz verdict on the family's Fraction Gram matrix."""
+    gram = build_gram(family, region)
+    return psd_certificate(gram, c, gram.diagonal)
+
+
+def ldlt_bessel(family, region, p) -> bool:
+    """The LDLᵀ's Bessel verdict on the family's Fraction Gram matrix."""
+    return bessel_certificate(build_gram(family, region), p)
+
+
+def last_true(holds, top: int) -> int:
+    """The largest k in [0, top) with holds(k), for holds monotone
+    decreasing in k and true at 0: bisection."""
+    lo, hi = 0, top
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
+@st.composite
+def chain_families(draw):
+    """(family, leaf): members around the ancestor chain of one leaf down to
+    level 30, in any order — chain nodes, their siblings and a few shallow
+    intervals — each listed one to five times."""
+    level = draw(st.integers(0, 30))
+    index = draw(st.integers(0, (1 << level) - 1))
+    chain = [DyadicInterval(l, index >> (level - l)) for l in range(level + 1)]
+    near = chain + [DyadicInterval(i.level, i.index ^ 1) for i in chain[1:]]
+    distinct = draw(st.lists(st.sampled_from(near), max_size=10, unique=True))
+    distinct += draw(st.lists(dyadic_intervals(max_level=4), max_size=3, unique=True))
+    distinct = list(dict.fromkeys(distinct))
+    copies = draw(
+        st.lists(
+            st.sampled_from([1, 1, 1, 2, 3, 4, 5]),
+            min_size=len(distinct),
+            max_size=len(distinct),
+        )
+    )
+    family = [i for i, k in zip(distinct, copies) for _ in range(k)]
+    return draw(st.permutations(family)), chain[-1]
+
+
+@st.composite
+def sets_around(draw, leaf):
+    """A step set whose ends mix points near the leaf, on a grid finer than
+    its halves' quarters, with arbitrary rationals over 97, 1000 and 2^20."""
+    near = st.fractions(min_value=-1, max_value=2, max_denominator=16).map(
+        lambda x: leaf.left + x * leaf.measure
+    )
+    anywhere = st.sampled_from([97, 1000, 1 << 20]).flatmap(
+        lambda d: st.integers(0, d).map(lambda k: F(k, d))
+    )
+    points = draw(st.lists(st.one_of(near, anywhere), max_size=8))
+    points = sorted({min(max(x, F(0)), F(1)) for x in points})
+    return StepSet(list(zip(points[0::2], points[1::2])))
+
+
+RIESZ_SHIFTS = [F(-1, 2), F(0), F(1, 100), F(1, 4), F(1, 2), F(1), F(3, 2)]
+BESSEL_PS = [F(1, 3), F(1, 2), F(2, 3), F(43, 64), F(3, 4), F(1)]
+
+
+class TestPivotVerdicts:
+    """verify_riesz and verify_bessel decide by one pivot pass over the
+    members; each verdict equals the LDLᵀ's on the family's Gram matrix, at
+    fixed points and at the edges of the pass's own bracket."""
+
+    def assert_agrees(self, family, region):
+        grid = 1 << 20
+        edge = last_true(lambda k: verify_riesz(family, region, F(k, grid)), 2 * grid)
+        for c in RIESZ_SHIFTS + [F(edge, grid), F(edge + 1, grid)]:
+            assert verify_riesz(family, region, c) is ldlt_riesz(family, region, c), c
+        # the Bessel verdict falls as p grows: its edge on the grid of (0, 1]
+        edge = last_true(lambda k: verify_bessel(family, region, F(k + 1, grid)), grid)
+        edges = [F(k, grid) for k in (edge + 1, edge + 2) if k <= grid]
+        for p in BESSEL_PS + edges:
+            assert verify_bessel(family, region, p) is ldlt_bessel(family, region, p), p
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_chains_to_level_30_in_any_order_with_repeats(self, data):
+        family, leaf = data.draw(chain_families())
+        self.assert_agrees(family, data.draw(sets_around(leaf)))
+
+    @given(
+        step_sets(denominators=(3, 7, 12, 64, 97)),
+        st.integers(0, 5),
+        st.sampled_from([F(1, 2), F(2, 3), F(43, 64), F(3, 4), F(9, 10)]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40)
+    def test_admissible_families_in_any_order(self, region, depth, p, rng):
+        family = enumerate_family(depth, region, p)
+        rng.shuffle(family)
+        self.assert_agrees(family, region)
+        assert verify_bessel(family, region, p) is ldlt_bessel(family, region, p)
+
+    def test_zigzag_family_at_level_26(self):
+        family = zigzag_coefficients(13).support()
+        assert max(i.level for i in family) == 26
+        for c in (F(1, 2), F(1, 10), F(1, 100)):
+            verdict = verify_riesz(family, TWO_THIRDS_SET, c)
+            assert verdict is ldlt_riesz(family, TWO_THIRDS_SET, c), c
+        assert verify_riesz(family, TWO_THIRDS_SET, F(1, 100))
+        assert not verify_riesz(family, TWO_THIRDS_SET, F(1, 10))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_repeated_member_of_positive_mass(self, k):
+        # k copies of one vector u: G = m·J and D = m·I on them
+        family = [DyadicInterval(1, 0)] * k + [DyadicInterval(0, 0)]
+        assert not verify_riesz(family, TWO_THIRDS_SET, F(1, 1000))
+        assert verify_riesz(family, TWO_THIRDS_SET, F(0))
+        # (1/p)·m·I − m·J ⪰ 0 on the copies exactly when 1/p ≥ k
+        for p in (F(1, k), F(1, k) + F(1, 1000)):
+            verdict = verify_bessel(family[:k], TWO_THIRDS_SET, p)
+            assert verdict is ldlt_bessel(family[:k], TWO_THIRDS_SET, p) is (p <= F(1, k))
+        for c in RIESZ_SHIFTS:
+            assert verify_riesz(family, TWO_THIRDS_SET, c) is ldlt_riesz(
+                family, TWO_THIRDS_SET, c
+            )
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_repeated_member_of_zero_mass_drops_out(self, k):
+        # [2/3, 1) misses E = [0, 2/3) on [3/4, 1): that member has mass 0
+        dead = DyadicInterval(2, 3)
+        family = [DyadicInterval(0, 0), DyadicInterval(1, 1)] + [dead] * k
+        for c in RIESZ_SHIFTS:
+            verdict = verify_riesz(family, TWO_THIRDS_SET, c)
+            assert verdict is verify_riesz(family[:2], TWO_THIRDS_SET, c), c
+            assert verdict is ldlt_riesz(family, TWO_THIRDS_SET, c), c
+        for p in BESSEL_PS:
+            verdict = verify_bessel(family, TWO_THIRDS_SET, p)
+            assert verdict is verify_bessel(family[:2], TWO_THIRDS_SET, p), p
+            assert verdict is ldlt_bessel(family, TWO_THIRDS_SET, p), p
+
+    def test_no_gram_matrix_is_built(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a family verdict built a Gram matrix")
+
+        for name in ("build_gram", "_chain_store", "_ldlt_psd", "GramMatrix"):
+            monkeypatch.setattr(gram_module, name, unreachable)
+        family = enumerate_family(5, TWO_THIRDS_SET, F(1, 2))
+        assert verify_riesz(family, TWO_THIRDS_SET, F(1, 16))
+        assert verify_bessel(family, TWO_THIRDS_SET, F(1, 2))
+
+
 class TestReflection:
     """x ↦ 1−x maps the admissible family onto itself and only flips Haar
     signs, so sizes, verdicts and certified brackets cannot change."""

@@ -13,6 +13,7 @@ from haar_riesz import (
     InputError,
     StepSet,
     density,
+    enumerate_family,
     intersect_measure,
     normalize,
 )
@@ -21,7 +22,7 @@ from haar_riesz import measure
 from haar_riesz.counterexample import TWO_THIRDS_SET, zigzag_coefficients
 from haar_riesz.measure import cell_runs, dyadic_counts, heap_sums, measures_below
 
-from conftest import clip_stepset, dyadic_intervals, step_sets
+from conftest import clip_stepset, dyadic_intervals, prime_shifted_set, step_sets
 
 
 def indicator_of_pairs(pairs, x):
@@ -356,11 +357,32 @@ class TestDyadicCounts:
         for v in range(1, 2 << 10, 37):
             assert F(counts[v], unit) == intersect_measure(TWO_THIRDS_SET, node_interval(v))
 
+    def test_table_past_the_bit_budget_is_refused_before_the_sweep(self, monkeypatch):
+        def reached(*args):
+            raise AssertionError("the sweep was reached")
+
+        monkeypatch.setattr(measure, "measures_below", reached)
+        # 6000 distinct prime denominators: a unit of about 120 000 bits
+        with pytest.raises(InputError, match="count table"):
+            dyadic_counts(prime_shifted_set(3000), 16)
+        # 300 intervals: about 12 000 bits, past the budget only at depth 16
+        region = prime_shifted_set(300)
+        with pytest.raises(InputError, match="count table"):
+            dyadic_counts(region, 16)
+        with pytest.raises(AssertionError):
+            dyadic_counts(region, 14)
+
+    def test_table_within_the_bit_budget_still_runs(self):
+        region = prime_shifted_set(300)
+        family = enumerate_family(14, region, F(1, 2))
+        assert len(family) == 16380
+
 
 class TestSweepCallSites:
     def test_measures_below_has_three_callers(self):
-        """One table sweep, the Gram matrix's sparse sweep at its members'
-        own points, and the single-cell check: no other route sweeps a set."""
+        """One table sweep, a family's sparse sweep at its members' own
+        points (for its Gram matrix and its pivot pass alike), and the
+        single-cell check: no other route sweeps a set."""
         import ast
         from pathlib import Path
 
@@ -386,7 +408,7 @@ class TestSweepCallSites:
         callers = Callers()
         for path in sorted(Path(measure.__file__).parent.glob("*.py")):
             callers.visit(ast.parse(path.read_text()))
-        assert sorted(callers.found) == ["build_gram", "dyadic_counts", "per_interval_check"]
+        assert sorted(callers.found) == ["_member_measures", "dyadic_counts", "per_interval_check"]
 
 
 class TestDensity:

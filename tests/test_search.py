@@ -161,7 +161,7 @@ class TestCertifiedLowerBound:
             raise AssertionError("work done before the width was checked")
 
         monkeypatch.setattr(search, "dyadic_counts", unreachable)
-        monkeypatch.setattr(_CountTree, "psd", unreachable)
+        monkeypatch.setattr(search, "_pivot_psd", unreachable)
         with pytest.raises(InputError, match="width"):
             certified_lower_bound(FULL, F(1, 2), 3, width)
 
@@ -303,9 +303,9 @@ class TestTreeBracket:
             "-inf": float("-inf"),
         }[offset]
         verdicts = []
-        verdict = _CountTree.psd
+        verdict = search._pivot_psd
         monkeypatch.setattr(
-            _CountTree, "psd", lambda *args: verdicts.append(args) or verdict(*args)
+            search, "_pivot_psd", lambda *args: verdicts.append(args) or verdict(*args)
         )
         tree_value, reference = bracket_case(cells, depth, p, guess)
         assert tree_value == reference
@@ -335,16 +335,16 @@ class TestTreeBracket:
     def test_checks_start_at_the_float_floor(self, monkeypatch, mode):
         """At the benchmark's settings the float λ_min lies inside its grid
         cell, so the bracket asks exactly ⌊λ·2²⁰⌋ and the next point."""
-        shifts = []
-        verdict = _CountTree.psd
+        asked = []
+        verdict = search._pivot_psd
 
-        def recorded(tree, family, shift):
-            shifts.append(shift)
-            return verdict(tree, family, shift)
+        def recorded(nodes, pivots, slopes):
+            asked.append((nodes[0], pivots[0]))
+            return verdict(nodes, pivots, slopes)
 
-        monkeypatch.setattr(_CountTree, "psd", recorded)
+        monkeypatch.setattr(search, "_pivot_psd", recorded)
         for k in range(4):
-            shifts.clear()
+            asked.clear()
             result = search_extremal(
                 SearchConfig(
                     p=F(43, 64),
@@ -358,7 +358,20 @@ class TestTreeBracket:
             )
             low = result.certificate_lower
             assert F(result.best_ratio) - low < F(1, 1 << 20)
+            # each pivot is (1 − shift)·counts[v]
+            tree, _ = search._table_tree(result.best_set, F(43, 64), 6)
+            shifts = [1 - pivot / tree.counts[v] for v, pivot in asked]
             assert shifts == [low, low + F(1, 1 << 20)]
+
+
+def pass_verdict(tree, family, shift):
+    """The pivot pass's verdict on G − shift·D for members of a count table,
+    with the bracket's inputs: pivots (1 − shift)·counts[v] and slopes
+    counts[2v + 1] − counts[2v]."""
+    counts = tree.counts
+    pivots = [(1 - shift) * counts[v] for v in family]
+    slopes = [counts[2 * v + 1] - counts[2 * v] for v in family]
+    return gram_module._pivot_psd(family, pivots, slopes)
 
 
 def store_verdict(tree, family, shift):
@@ -377,7 +390,7 @@ def pass_edges(tree, family):
     lo, hi = 0, 1 << 21
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if tree.psd(family, F(mid, 1 << 20)) else (lo, mid)
+        lo, hi = (mid, hi) if pass_verdict(tree, family, F(mid, 1 << 20)) else (lo, mid)
     return [F(lo, 1 << 20), F(lo + 1, 1 << 20)]
 
 
@@ -390,13 +403,13 @@ pass_cells = st.tuples(
 
 
 class TestPivotPass:
-    """The count table's one-pass PSD verdict equals the generic LDLᵀ on the
-    integer Gram store of the same family, at fixed shifts and at the edges
-    of the pass's own bracket."""
+    """The pivot pass's verdict on a count table's members equals the
+    generic LDLᵀ on the integer Gram store of the same family, at fixed
+    shifts and at the edges of the pass's own bracket."""
 
     def assert_agrees(self, tree, family):
         for shift in PASS_SHIFTS + pass_edges(tree, family):
-            assert tree.psd(family, shift) is store_verdict(tree, family, shift), shift
+            assert pass_verdict(tree, family, shift) is store_verdict(tree, family, shift), shift
 
     @given(st.integers(0, 6), pass_cells, st.data())
     @settings(max_examples=80)
@@ -422,21 +435,21 @@ class TestPivotPass:
     def test_zero_pivot_without_a_member_ancestor_holds(self):
         tree = _CountTree.from_cells([True, False, True, True], 2)
         assert tree.counts[3] != tree.counts[2]  # the root's slope
-        assert tree.psd([1], F(1)) is store_verdict(tree, [1], F(1)) is True
+        assert pass_verdict(tree, [1], F(1)) is store_verdict(tree, [1], F(1)) is True
 
     def test_zero_pivot_under_a_member_with_a_slope_fails(self):
         tree = _CountTree.from_cells([True, False, True, True], 2)
         assert tree.counts[5] != tree.counts[4]  # the slope of [0, 1/2)
-        assert tree.psd([1, 2], F(1)) is store_verdict(tree, [1, 2], F(1)) is False
+        assert pass_verdict(tree, [1, 2], F(1)) is store_verdict(tree, [1, 2], F(1)) is False
 
     def test_member_that_the_set_misses_is_skipped(self):
         # [1/2, 1) holds no point of E: its pivot and slope are 0 at every shift
         tree = _CountTree.from_cells([True, True, False, False], 2)
         assert tree.counts[3] == 0
         for shift in PASS_SHIFTS:
-            verdict = tree.psd([1, 3], shift)
-            assert verdict is tree.psd([1], shift) is store_verdict(tree, [1, 3], shift)
-        assert tree.psd([1, 3], F(1)) is True
+            verdict = pass_verdict(tree, [1, 3], shift)
+            assert verdict is pass_verdict(tree, [1], shift) is store_verdict(tree, [1, 3], shift)
+        assert pass_verdict(tree, [1, 3], F(1)) is True
 
     @given(st.integers(0, 6), pass_cells, st.sampled_from(BRACKET_PS))
     @settings(max_examples=40)
@@ -449,7 +462,7 @@ class TestPivotPass:
         reflected = [(3 << (v.bit_length() - 1)) - 1 - v for v in family]
         assert sorted(reflected) == mirror.family(p)
         for shift in PASS_SHIFTS + pass_edges(tree, family):
-            assert tree.psd(family, shift) is mirror.psd(reflected, shift)
+            assert pass_verdict(tree, family, shift) is pass_verdict(mirror, reflected, shift)
 
     @given(st.integers(0, 6), pass_cells, st.sampled_from(BRACKET_PS))
     @settings(max_examples=40)
@@ -457,7 +470,7 @@ class TestPivotPass:
         tree = _CountTree.from_cells(cells, depth)
         family = tree.family(p)
         shifts = sorted(PASS_SHIFTS + pass_edges(tree, family) + [F(k, 7) for k in range(15)])
-        verdicts = [tree.psd(family, shift) for shift in shifts]
+        verdicts = [pass_verdict(tree, family, shift) for shift in shifts]
         assert verdicts == sorted(verdicts, reverse=True)
 
 
@@ -528,6 +541,13 @@ class TestSearchExtremal:
             SearchConfig(p=F(3, 4), depth=-1, cell_resolution=6, iterations=1, seed=0)
         with pytest.raises(InputError):
             SearchConfig(p=F(3, 4), depth=1, cell_resolution=6, iterations=0, seed=0)
+        for iterations in (search.MAX_ITERATIONS + 1, 10**12):
+            with pytest.raises(InputError, match="iterations"):
+                SearchConfig(p=F(3, 4), depth=1, cell_resolution=6, iterations=iterations, seed=0)
+        cfg = SearchConfig(
+            p=F(3, 4), depth=1, cell_resolution=6, iterations=search.MAX_ITERATIONS, seed=0
+        )
+        assert cfg.iterations == search.MAX_ITERATIONS
         with pytest.raises(InputError):
             SearchConfig(
                 p=F(3, 4), depth=1, cell_resolution=6, iterations=1, seed=0, mode="anneal"
@@ -826,7 +846,7 @@ class TestCandidateWork:
         monkeypatch.setattr(
             _CountTree, "from_cells", classmethod(counted("tree_from_cells", tree_from_cells))
         )
-        monkeypatch.setattr(_CountTree, "psd", counted("tree_psd", _CountTree.psd))
+        monkeypatch.setattr(search, "_pivot_psd", counted("pivot_psd", search._pivot_psd))
         ratios = []
         score = search._score
 
@@ -857,7 +877,7 @@ class TestCandidateWork:
         assert calls["certified_lower_bound"] == 0
         assert calls["dyadic_counts"] == 1  # the winner's table, from its set
         assert calls["tree_from_cells"] == (cfg.iterations if mode == "random" else 1)
-        assert 1 <= calls["tree_psd"] <= 3
+        assert 1 <= calls["pivot_psd"] <= 3
         assert calls["psd_certificate"] == 0
         assert calls["random_stepset"] == 0
         assert calls["eig_bounds"] == 0
