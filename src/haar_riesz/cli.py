@@ -34,10 +34,16 @@ from .search import SearchConfig, search_extremal
 from .weights import MAX_GRID, WeightConfig, telescope_check, verify_grid
 
 
+MAX_PRECISION = 767  # significant digits of the longest exact float64 expansion
+
+
 def _write(args, text: str):
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write the report to {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -309,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--precision",
             type=int,
             default=17,
-            help="significant digits for float columns (default 17)",
+            help=f"significant digits for float columns (default 17, at most {MAX_PRECISION})",
         )
 
     p = sub.add_parser("gram", help="Gram matrix, eigenvalue bounds and exact certificates")
@@ -390,8 +396,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse already printed usage to stderr
         return int(exc.code) if exc.code else 0
     try:
-        if args.precision < 0:
-            raise InputError(f"precision must be >= 0, got {args.precision}")
+        if not 0 <= args.precision <= MAX_PRECISION:
+            raise InputError(f"precision must lie in [0, {MAX_PRECISION}], got {args.precision}")
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

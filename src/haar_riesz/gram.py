@@ -21,11 +21,12 @@ Two verification routes live here and are kept deliberately independent:
   to drive searches and to cross-check the exact certificates.  Two members
   of a family share a nonzero entry only when one is an ancestor of the
   other, so the view splits into independent blocks under non-member
-  ancestors; the extremes are solved block by block, and a search can
-  reuse the value of a block that a flip left unchanged.  The view is
-  bitwise symmetric, so a rotation computes its two new rows into place
-  from four product buffers allocated once per solve and copies them into
-  the two columns: the bits of a two-sided rotation at half its cost.
+  ancestors, found from the store; each block is built from its own store
+  and solved apart, so no n×n float matrix is built but to print one, and a
+  search can reuse the value of a block that a flip left unchanged.  A
+  block is bitwise symmetric, so a rotation computes its two new rows into
+  place from four product buffers and copies them into the two columns:
+  the bits of a two-sided rotation at half its cost.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConvergenceError, InputError
+from .haar import check_threshold
 from .measure import DyadicInterval, StepSet, measures_below
 from .rational import format_rational, render_float
 
-MAX_DENSE = 2048  # members of a dense view: 32 MiB of float64 at the cap
+MAX_DENSE = 2048  # members of a float-route family or a printed view: 32 MiB of float64
 
 
 def check_dense(size: int):
@@ -122,9 +124,8 @@ class GramMatrix:
     def as_float(self) -> np.ndarray:
         """Float64 view; applies the 1/√(G_ii·G_jj) normalization if flagged.
 
-        Only the nonzero entries are converted, and :func:`float_view` fills
-        the matrix: the float search scores, which build their pencils with
-        the same helper, are bit for bit the values of this view.
+        For printing; the eigen route builds each block with the same helper,
+        :func:`float_view`, bit for bit the block cut from this view.
         """
         return float_view([float(d) for d in self.diagonal], self.lower, self.normalized)
 
@@ -390,16 +391,9 @@ def verify_riesz(
     return _pivot_psd(nodes, [keep * m for m in mass], slope)
 
 
-def _check_threshold(p) -> Fraction:
-    p = Fraction(p)
-    if not 0 < p <= 1:
-        raise InputError(f"threshold must satisfy 0 < p <= 1, got {p}")
-    return p
-
-
 def bessel_certificate(gram: GramMatrix, p: Fraction) -> bool:
     """Exact truth of the upper bound (1/p)·D − G ⪰ 0, D the diagonal of G."""
-    p = _check_threshold(p)
+    p = check_threshold(p)
     pivots = [d / p - d for d in gram.diagonal]
     lower = [{j: -x for j, x in row} for row in gram.lower]
     return _ldlt_psd(pivots, lower)
@@ -416,7 +410,7 @@ def verify_bessel(
     spread Σ a² is least, b²/k, when the coefficients are equal.  So its
     pivot is (1/(p·k) − 1)·|I∩E|.
     """
-    p = _check_threshold(p)
+    p = check_threshold(p)
     nodes, mass, slope, copies = _folded_members(family, region)
     pivots = [(1 / (p * k) - 1) * m for m, k in zip(mass, copies)]
     return _pivot_psd(nodes, pivots, [-s for s in slope])
@@ -433,8 +427,8 @@ def _jacobi(A, target, max_sweeps):
     """Cyclic-by-row Jacobi sweeps on a bitwise symmetric matrix, in place.
 
     Returns (final off-diagonal Frobenius norm, sweeps used).  A must be
-    bitwise symmetric (``np.array_equal(A, A.T)``), as :func:`float_view`
-    and the ``np.ix_`` blocks cut from it are.  Each rotation writes the new
+    bitwise symmetric (``np.array_equal(A, A.T)``), as every block that
+    :func:`float_view` builds is.  Each rotation writes the new
     rows p and q from four products c·r_p, s·r_q, s·r_p and c·r_q held in
     buffers allocated once per call, then copies them into columns p and q.
     Off the 2×2 corner that copy is exactly the column rotation, since
@@ -488,21 +482,21 @@ def _jacobi(A, target, max_sweeps):
     return off, sweeps
 
 
-def _components(matrix: np.ndarray) -> list:
-    """Connected components of the off-diagonal nonzero pattern, by
+def _components(lower: Sequence[Sequence]) -> list:
+    """Connected components of a store's nonzero entries (j, x), x ≠ 0, by
     union-find; each is a list of indices in ascending order."""
-    parent = list(range(matrix.shape[0]))
+    parent = list(range(len(lower)))
 
     def find(i):
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
         return i
 
-    rows, cols = np.nonzero(np.triu(matrix, 1))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        a, b = find(i), find(j)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
+    for i, row in enumerate(lower):
+        for j, x in row:
+            a, b = find(i), find(j)
+            if x and a != b:
+                parent[max(a, b)] = min(a, b)
     groups: dict = {}
     for i in range(len(parent)):
         groups.setdefault(find(i), []).append(i)
@@ -528,34 +522,35 @@ def _block_extremes(block: np.ndarray) -> Tuple[float, float]:
 
 
 def _extreme_eigenvalues(
-    matrix: np.ndarray, memo: Optional[dict] = None
+    diagonal: Sequence[float], lower: Sequence[Sequence], normalized: bool, memo: dict
 ) -> Tuple[float, float]:
-    """(λ_min, λ_max) of a symmetric matrix, solved block by block.
+    """(λ_min, λ_max) of a store's :func:`float_view`, solved block by block.
 
-    The blocks are the connected components of the off-diagonal nonzero
-    pattern, each in ascending index order; the spectrum is the union of the
-    blocks' spectra.  A 1×1 block's value is its diagonal entry; a larger
-    block is solved by :func:`_jacobi`.  A connected matrix is one block in
-    its own order, so it gets the bits a whole-matrix solve gives.  With a
-    ``memo``, a block whose bytes were solved before is read from it.
+    The blocks are the components of the store's nonzero entries; the
+    spectrum is the union of theirs.  A 1×1 block's value is its diagonal
+    entry (1.0 when normalized).  A larger block is the :func:`float_view` of
+    its own store, members ascending: the bytes of the block cut from the
+    whole view.  It is solved by :func:`_jacobi`, or read from ``memo`` when
+    a block of its bytes was solved before; a connected view is one block.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.shape[0] == 0:
+    if not diagonal:
         raise InputError("eigenvalue bounds of an empty matrix are undefined")
+    check_dense(len(diagonal))
     low, high = math.inf, -math.inf
-    for members in _components(matrix):
+    for members in _components(lower):
         if len(members) == 1:
-            block_low = block_high = float(matrix[members[0], members[0]])
+            block_low = block_high = 1.0 if normalized else float(diagonal[members[0]])
         else:
-            block = matrix[np.ix_(members, members)]  # a copy, solved in place
-            if memo is None:
-                block_low, block_high = _block_extremes(block)
-            else:
-                key = block.tobytes()
-                found = memo.get(key)
-                if found is None:
-                    found = memo[key] = _block_extremes(block)
-                block_low, block_high = found
+            position = {m: k for k, m in enumerate(members)}
+            block = float_view(
+                [diagonal[m] for m in members],
+                [[(position[j], x) for j, x in lower[m]] for m in members],
+                normalized,
+            )
+            key = block.tobytes()
+            if key not in memo:
+                memo[key] = _block_extremes(block)
+            block_low, block_high = memo[key]
         low, high = min(low, block_low), max(high, block_high)
     return low, high
 
@@ -564,19 +559,21 @@ def eig_bounds(gram: GramMatrix) -> Tuple[float, float]:
     """(λ_min, λ_max) of the float view via cyclic Jacobi, block by block.
 
     Dyadic intervals are nested or disjoint, so the view splits into
-    independent blocks (see :func:`_extreme_eigenvalues`).  Each block's
-    sweeps run until its off-diagonal Frobenius mass is at most 1e−14 times
-    its own Frobenius norm, so its extreme eigenvalues are accurate to about
-    that much in absolute terms.  The view and its blocks are bitwise
-    symmetric, which lets each rotation update two rows in place and copy
-    them into the two columns (see :func:`_jacobi`).  The whole matrix's
-    extremes are the extremes of its blocks' values and each block's norm is
-    at most ‖G‖_F, so the same bound holds for the whole matrix: comfortably
-    inside 1e−10 for the well-scaled matrices produced here.  The result is
-    deterministic, bit for bit, and no sweep raises a float warning.  Raises
-    :class:`ConvergenceError` when a block has not converged after 64 sweeps.
+    independent blocks, each built from the store alone
+    (:func:`_extreme_eigenvalues`).  Each block's sweeps run until its
+    off-diagonal Frobenius mass is at most 1e−14 times its own Frobenius
+    norm, so its extreme eigenvalues are accurate to about that much in
+    absolute terms.  Each block is bitwise symmetric, which lets each
+    rotation update two rows in place and copy them into the two columns (see
+    :func:`_jacobi`).  The whole matrix's extremes are the extremes of its
+    blocks' values and each block's norm is at most ‖G‖_F, so the same bound
+    holds for the whole matrix: comfortably inside 1e−10 for the well-scaled
+    matrices produced here.  The result is deterministic, bit for bit, and no
+    sweep raises a float warning.  Raises :class:`ConvergenceError` when a
+    block has not converged after 64 sweeps.
     """
-    return _extreme_eigenvalues(gram.as_float())
+    diagonal = [float(d) for d in gram.diagonal]
+    return _extreme_eigenvalues(diagonal, gram.lower, gram.normalized, {})
 
 
 # --------------------------------------------------------------------------

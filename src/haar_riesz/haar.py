@@ -400,6 +400,11 @@ def check_family_args(depth: int, p) -> Fraction:
         raise InputError(f"depth must be >= 0, got {depth}")
     if depth > MAX_DEPTH:
         raise InputError(f"depth must be <= {MAX_DEPTH}, got {depth}")
+    return check_threshold(p)
+
+
+def check_threshold(p) -> Fraction:
+    """p as a Fraction, once it is checked to be a density threshold 0 < p ≤ 1."""
     p = Fraction(p)
     if not 0 < p <= 1:
         raise InputError(f"threshold must satisfy 0 < p <= 1, got {p}")

@@ -8,10 +8,12 @@ walk of :func:`build_gram` (:func:`gram._chain_store`).  A step set's table come
 from one sweep of it (:func:`_table_tree`), for :func:`pencil_extremes`,
 :func:`certified_lower_bound` and a search's winner alike; a candidate fills
 it from its cells, and a greedy flip updates one cell's subtree and ancestor
-chain.  The float pencil divides the counts by the unit, which rounds as
-``float`` of the Fraction does, so it has the bits :meth:`GramMatrix.as_float`
-gives.  Its extremes are solved block by block, and a memo that lives for one
-search keeps each solved block's extremes, so a flip re-solves only the
+chain.  The float pencil's store divides the counts by the unit, which
+rounds as ``float`` of the Fraction does, so each block the eigen route cuts
+from it (:func:`gram._extreme_eigenvalues`) has the bits of the same block of
+``build_gram(..., normalized=True).as_float()``; no n×n float matrix is
+built.  The extremes are solved block by block, and a memo that lives for
+one search keeps each solved block's extremes, so a flip re-solves only the
 blocks it changed.  No candidate builds a Fraction Gram matrix; ties on the
 ratio are broken on the integer runs of the cells, and a StepSet is built
 only for the final winner or for a candidate that fails a spectral check.
@@ -37,11 +39,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .constants import riesz_constant
 from .errors import ConsistencyError, InputError
-from .gram import _chain_store, _extreme_eigenvalues, _pivot_psd, float_view
+from .gram import _chain_store, _extreme_eigenvalues, _pivot_psd
 from .haar import admissible_nodes, check_family_args
 from .measure import StepSet, cell_runs, dyadic_counts, heap_sums
 
@@ -183,7 +183,7 @@ def pencil_extremes(
     ``build_gram(family, region, normalized=True)``.
     """
     tree, p = _table_tree(region, p, depth)
-    return tree.extremes(p)
+    return tree.extremes(p, {})
 
 
 def _table_tree(region: StepSet, p: Fraction, depth: int) -> Tuple["_CountTree", Fraction]:
@@ -296,19 +296,19 @@ class _CountTree:
     ``cells``, which :meth:`toggle` flips one at a time.
     """
 
-    __slots__ = ("counts", "unit", "depth", "memo", "cells")
+    __slots__ = ("counts", "unit", "depth", "cells")
 
-    def __init__(self, counts: List[int], unit: int, depth: int, memo: Optional[dict] = None):
-        self.counts, self.unit, self.depth, self.memo = counts, unit, depth, memo
+    def __init__(self, counts: List[int], unit: int, depth: int):
+        self.counts, self.unit, self.depth = counts, unit, depth
 
     @classmethod
-    def from_cells(cls, cells: List[bool], depth: int, memo: Optional[dict] = None):
+    def from_cells(cls, cells: List[bool], depth: int):
         """Each of the 2^resolution cells as 2^(leaf − resolution) leaves of
         level leaf = max(resolution, depth + 1), in units of 2^−leaf."""
         resolution = len(cells).bit_length() - 1
         below = max(depth + 1 - resolution, 0)
         leaves = [int(present) for present in cells for _ in range(1 << below)]
-        tree = cls(heap_sums(leaves), 1 << (resolution + below), depth, memo)
+        tree = cls(heap_sums(leaves), 1 << (resolution + below), depth)
         tree.cells = cells
         return tree
 
@@ -331,39 +331,31 @@ class _CountTree:
         """The admissible nodes of level ≤ depth, in (level, index) order."""
         return admissible_nodes(self.counts, self.unit, self.depth, p)
 
-    def pencil(self, p: Fraction) -> Tuple[List[int], np.ndarray]:
-        """The admissible family and the float view of its normalized Gram
-        matrix, entry for entry the bits of ``build_gram(..., True).as_float()``:
-        masses and slopes are counts over the unit, int/int division rounds as
-        ``float`` of the Fraction does, and the store of :func:`_chain_store`
-        goes through the fill of :meth:`GramMatrix.as_float` (:func:`float_view`)."""
-        counts, unit = self.counts, self.unit
-        family = self.family(p)
-        mass = [counts[v] / unit for v in family]
-        slope = [(counts[2 * v + 1] - counts[2 * v]) / unit for v in family]
-        diagonal, lower = _chain_store(family, mass, slope)
-        return family, float_view(diagonal, lower, normalized=True)
-
-    def extremes(self, p: Fraction) -> Tuple[float, float, int]:
+    def extremes(self, p: Fraction, memo: dict) -> Tuple[float, float, int]:
         """(λ_min, λ_max, family size) of the normalized pencil; (1.0, 1.0, 0)
         for an empty family.
 
-        The pencil is solved block by block; with a ``memo`` (one per search),
-        a block a flip left unchanged is read from it, not solved again.  A
-        block's value depends only on its bytes, so the memo moves no bit.
+        The pencil's store comes from :func:`_chain_store`, masses and slopes
+        the counts over the unit (int/int division rounds as ``float`` of the
+        Fraction does), and is solved block by block: a block whose bytes
+        are in ``memo`` (one per search) is read from it, not solved again.
+        A block's value depends only on its bytes, so the memo moves no bit.
         """
-        family, matrix = self.pencil(p)
+        counts, unit = self.counts, self.unit
+        family = self.family(p)
         if not family:
             return 1.0, 1.0, 0
-        low, high = _extreme_eigenvalues(matrix, self.memo)
+        mass = [counts[v] / unit for v in family]
+        slope = [(counts[2 * v + 1] - counts[2 * v]) / unit for v in family]
+        low, high = _extreme_eigenvalues(*_chain_store(family, mass, slope), True, memo)
         return low, high, len(family)
 
 
 def _score(
-    tree: _CountTree, cfg: SearchConfig, floor: Optional[float], ceiling: float
+    tree: _CountTree, cfg: SearchConfig, floor: Optional[float], ceiling: float, memo: dict
 ) -> Tuple[float, int]:
     """Score one candidate, enforcing both spectral invariants."""
-    low, high, size = tree.extremes(cfg.p)
+    low, high, size = tree.extremes(cfg.p, memo)
     if floor is not None and low < floor:
         raise ConsistencyError(
             f"computed ratio {low!r} undercuts the certified lower bound "
@@ -412,7 +404,7 @@ def _search_random(
             _bias_for(cfg, iteration),
             derive_seed(cfg.seed, iteration),
         )
-        ratio, size = _score(_CountTree.from_cells(cells, cfg.depth, memo), cfg, floor, ceiling)
+        ratio, size = _score(_CountTree.from_cells(cells, cfg.depth), cfg, floor, ceiling, memo)
         ratios.append(ratio)
         best = _offer(best, ratio, size, cells)
     return best, ratios
@@ -427,11 +419,11 @@ def _search_greedy(
     def fresh_tree(restart: int) -> _CountTree:
         seed = derive_seed(cfg.seed, _GREEDY_RESTART_STREAM + restart)
         cells = _draw_cells(cfg.cell_resolution, _bias_for(cfg, restart), seed)
-        return _CountTree.from_cells(cells, cfg.depth, memo)
+        return _CountTree.from_cells(cells, cfg.depth)
 
     restarts = 0
     tree = fresh_tree(restarts)
-    current_ratio, size = _score(tree, cfg, floor, ceiling)
+    current_ratio, size = _score(tree, cfg, floor, ceiling, memo)
     best = _offer(None, current_ratio, size, tree.cells)
 
     ratios: List[float] = []
@@ -439,7 +431,7 @@ def _search_greedy(
     for _ in range(cfg.iterations):
         flip = flip_rng.next_u64() % n_cells
         tree.toggle(flip)
-        ratio, size = _score(tree, cfg, floor, ceiling)
+        ratio, size = _score(tree, cfg, floor, ceiling, memo)
         ratios.append(ratio)
         best = _offer(best, ratio, size, tree.cells)
         if ratio < current_ratio:
@@ -451,7 +443,7 @@ def _search_greedy(
         if stagnation >= _GREEDY_STAGNATION_LIMIT:
             restarts += 1
             tree = fresh_tree(restarts)
-            current_ratio, size = _score(tree, cfg, floor, ceiling)
+            current_ratio, size = _score(tree, cfg, floor, ceiling, memo)
             best = _offer(best, current_ratio, size, tree.cells)
             stagnation = 0
     return best, ratios

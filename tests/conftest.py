@@ -9,9 +9,11 @@ from math import prod
 
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import settings
 
 from haar_riesz import CoefficientMap, DyadicInterval, StepSet
+from haar_riesz import gram as gram_module
 from haar_riesz.errors import ConvergenceError, InputError
 from haar_riesz.gram import (
     _JACOBI_MAX_SWEEPS,
@@ -292,6 +294,22 @@ def reference_certified_lower_bound(
         else:
             hi = mid
     return lo
+
+
+def solved_blocks(extremes):
+    """extremes() and the bytes of every block the eigen route solved for
+    it, recorded through ``gram._block_extremes`` before the block is
+    solved in place."""
+    blocks = []
+    solve = gram_module._block_extremes
+
+    def recorded(block):
+        blocks.append(block.tobytes())
+        return solve(block)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gram_module, "_block_extremes", recorded)
+        return extremes(), blocks
 
 
 def matrix_components(matrix):

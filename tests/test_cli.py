@@ -8,8 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from haar_riesz import CoefficientMap, DyadicInterval, StepSet, build_gram, parse_rational
-from haar_riesz.cli import run
+from haar_riesz import (
+    CoefficientMap,
+    DyadicInterval,
+    StepSet,
+    build_gram,
+    comparison_table,
+    parse_rational,
+    render_float,
+    riesz_constant,
+)
+from haar_riesz import gram as gram_module
+from haar_riesz.cli import MAX_PRECISION, run
+from haar_riesz.search import _CountTree
 
 from conftest import prime_shifted_set
 
@@ -320,6 +331,63 @@ class TestExitCodes:
         command = ["gram", "--set", two_thirds_file, "--p", "1/2", "--depth", "2"]
         assert run(command + ["--precision", "-1"]) == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("precision", [MAX_PRECISION + 1, 2**31, 10**11])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["constants", "--p-list", "3/4"],
+            ["search", "--p", "3/4", "--depth", "3", "--resolution", "4", "--iters", "3"]
+            + ["--seed", "1"],
+        ],
+    )
+    def test_precision_past_the_cap(self, capsys, command, precision):
+        assert run(command + ["--precision", str(precision)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: precision must lie in [0, {MAX_PRECISION}]")
+
+    def test_precision_at_the_cap_prints_every_digit(self, capsys):
+        assert MAX_PRECISION == 767
+        assert run(["constants", "--p-list", "3/4", "--precision", "767"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        (report,) = comparison_table([F(3, 4)])
+        assert row[2] == format(report.asymptotic, ".767g")
+        # the longest exact expansion of a float64 has 767 significant digits
+        smallest_normal = 2.0**-1022 - 2.0**-1074
+        digits = format(smallest_normal, ".800g").split("e")[0].replace(".", "")
+        assert len(digits.rstrip("0")) == MAX_PRECISION
+        assert render_float(smallest_normal, 767) == render_float(smallest_normal, 800)
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        for out in (tmp_path, tmp_path / "missing" / "x.csv"):
+            assert run(["constants", "--p-list", "3/4", "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"input error: cannot write the report to {out}")
+
+    def test_theorem_floor_undercut_exits_1(self, capsys, monkeypatch):
+        floor = float(riesz_constant(F(3, 4)))
+        monkeypatch.setattr(
+            _CountTree, "extremes", lambda self, p, memo: (floor - 1e-3, 1.0, 1)
+        )
+        command = ["search", "--p", "3/4", "--depth", "2", "--resolution", "3"]
+        assert run(command + ["--iters", "2", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("verification failure: computed ratio")
+
+    def test_unconverged_eigensolver_exits_3(self, capsys, monkeypatch, two_thirds_file):
+        # [0, 2/3) at p = 1/2, depth 2: the root carries a slope, so its
+        # members form one block of five
+        command = ["gram", "--set", two_thirds_file, "--p", "1/2", "--depth", "2"]
+        assert run(command) == 0
+        assert json.loads(capsys.readouterr().out)["family_size"] == 5
+        monkeypatch.setattr(gram_module, "_JACOBI_MAX_SWEEPS", 0)
+        assert run(command) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: Jacobi iteration did not converge")
 
 
 class TestResourceCaps:

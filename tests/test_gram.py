@@ -49,6 +49,7 @@ from conftest import (
     psd_by_principal_minors,
     reference_extreme_eigenvalues,
     reference_jacobi,
+    solved_blocks,
     step_sets,
 )
 
@@ -352,7 +353,7 @@ class TestEigBounds:
         matrix = rng.standard_normal((n, n))
         matrix = (matrix + matrix.T) / 2
         spectrum = np.linalg.eigvalsh(matrix)
-        low, high = _extreme_eigenvalues(matrix)
+        low, high = dense_extremes(matrix)
         assert abs(low - spectrum[0]) < 1e-9
         assert abs(high - spectrum[-1]) < 1e-9
 
@@ -437,6 +438,24 @@ def hexes(pair):
     return tuple(x.hex() for x in pair)
 
 
+def store_of(matrix):
+    """(diagonal, lower) of a dense symmetric matrix: its diagonal and the
+    nonzero entries of its lower triangle, as a Gram store (test-side)."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    diagonal = matrix.diagonal().tolist()
+    lower = [
+        [(j, x) for j, x in enumerate(row[:i].tolist()) if x]
+        for i, row in enumerate(matrix)
+    ]
+    return diagonal, lower
+
+
+def dense_extremes(matrix, memo=None):
+    """The eigen route's extremes of a dense matrix fed as its store, with a
+    fresh memo unless one is given."""
+    return _extreme_eigenvalues(*store_of(matrix), False, {} if memo is None else memo)
+
+
 class TestBlockExtremes:
     """The block-by-block solve against the whole-matrix Jacobi solve."""
 
@@ -444,7 +463,7 @@ class TestBlockExtremes:
     @settings(max_examples=150)
     def test_block_diagonal_matches_references(self, drawn):
         matrix, positions = drawn
-        low, high = _extreme_eigenvalues(matrix)
+        low, high = dense_extremes(matrix)
         # each block is solved on its own, to its own accuracy
         assert hexes((low, high)) == hexes(per_block_reference(matrix, positions))
         ref_low, ref_high = reference_extreme_eigenvalues(matrix)
@@ -457,7 +476,7 @@ class TestBlockExtremes:
     def test_connected_matrix_gets_the_whole_matrix_bits(self, drawn):
         matrix, _ = drawn
         assert len(matrix_components(matrix)) == 1
-        assert hexes(_extreme_eigenvalues(matrix)) == hexes(
+        assert hexes(dense_extremes(matrix)) == hexes(
             reference_extreme_eigenvalues(matrix)
         )
 
@@ -468,12 +487,14 @@ class TestBlockExtremes:
         for k in range(60):
             region = random_stepset(8, 0.8, derive_seed(0xB10C, k))
             family = enumerate_family(2 + k % 2, region, F(43, 64))
-            matrix = build_gram(family, region, normalized=True).as_float()
+            gram = build_gram(family, region, normalized=True)
+            matrix = gram.as_float()
             if len(family) > 1 and len(matrix_components(matrix)) == 1:
                 connected += 1
-                assert hexes(_extreme_eigenvalues(matrix)) == hexes(
+                assert hexes(dense_extremes(matrix)) == hexes(
                     reference_extreme_eigenvalues(matrix)
                 )
+                assert hexes(eig_bounds(gram)) == hexes(dense_extremes(matrix))
         assert connected >= 20
         for n in (3, 6, 9):
             matrix = perturbation_demo(n).gram.as_float()
@@ -486,14 +507,14 @@ class TestBlockExtremes:
         matrix = np.zeros((4, 4))
         matrix[:2, :2] = [[2e14, 1e14], [1e14, 2e14]]
         matrix[2:, 2:] = [[1.0, 0.5], [0.5, 1.0]]
-        low, high = _extreme_eigenvalues(matrix)
+        low, high = dense_extremes(matrix)
         assert abs(low - 0.5) <= 1e-15
         assert abs(high - 3e14) <= 1e-1
 
     def test_singletons_keep_their_values(self):
-        assert _extreme_eigenvalues(np.diag([3.0, -2.0, 7.0])) == (-2.0, 7.0)
-        assert _extreme_eigenvalues(np.array([[4.5]])) == (4.5, 4.5)
-        assert _extreme_eigenvalues(np.zeros((3, 3))) == (0.0, 0.0)
+        assert dense_extremes(np.diag([3.0, -2.0, 7.0])) == (-2.0, 7.0)
+        assert dense_extremes(np.array([[4.5]])) == (4.5, 4.5)
+        assert dense_extremes(np.zeros((3, 3))) == (0.0, 0.0)
 
     def test_unconverged_block_raises(self, monkeypatch):
         rng = np.random.default_rng(7)
@@ -502,9 +523,9 @@ class TestBlockExtremes:
         a = rng.standard_normal((5, 5))
         matrix[1:, 1:] = (a + a.T) / 2
         monkeypatch.setattr(gram_module, "_JACOBI_MAX_SWEEPS", 1)
-        for memo in (None, {}):
-            with pytest.raises(ConvergenceError):
-                _extreme_eigenvalues(matrix, memo)
+        memo = {}
+        with pytest.raises(ConvergenceError):
+            dense_extremes(matrix, memo)
         assert memo == {}
 
     def test_memo_reuses_blocks_by_their_bytes(self, monkeypatch):
@@ -524,15 +545,84 @@ class TestBlockExtremes:
         second[1:4, 1:4] = block  # the same block at other positions
         second[4, 4] = 1.0
         memo = {}
-        values = _extreme_eigenvalues(first, memo)
+        values = dense_extremes(first, memo)
         assert calls == [3, 2] and len(memo) == 2
-        assert _extreme_eigenvalues(second, memo) == (
+        assert dense_extremes(second, memo) == (
             memo[block.tobytes()][0],
             max(1.0, memo[block.tobytes()][1]),
         )
         assert calls == [3, 2]  # read from the memo, not solved
-        assert _extreme_eigenvalues(first) == values  # no memo: solved again
+        assert dense_extremes(first, {}) == values  # a fresh memo: solved again
         assert calls == [3, 2, 3, 2]
+
+
+def chain_store(gram):
+    """The store of every (member, member ancestor) pair of a dyadic Gram
+    matrix, zero entries included (test-side)."""
+    family = gram.labels
+    return [
+        [
+            (j, gram.entries[i][j])
+            for j in range(i)
+            if family[i].contains(family[j]) or family[j].contains(family[i])
+        ]
+        for i in range(gram.size)
+    ]
+
+
+class TestStoreBlocks:
+    """The blocks found from the store and built from their own stores
+    against the dense view cut along its nonzero pattern."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(0.3, 1.0),
+        st.integers(0, 6),
+        st.sampled_from([F(1, 2), F(43, 64), F(3, 4), F(9, 10)]),
+    )
+    @settings(max_examples=80)
+    def test_partition_and_blocks_match_the_dense_view(self, seed, bias, depth, p):
+        region = random_stepset(8, bias, seed)
+        family = enumerate_family(depth, region, p)
+        if not family:
+            return
+        raw = build_gram(family, region)
+        expected = matrix_components(raw.as_float())
+        assert _components(raw.lower) == expected
+        # entries that are exactly zero join nothing
+        assert _components(chain_store(raw)) == expected
+        for normalized in (False, True):
+            gram = build_gram(family, region, normalized=normalized)
+            matrix = gram.as_float()
+            values, blocks = solved_blocks(lambda: eig_bounds(gram))
+            cut = [matrix[np.ix_(m, m)].tobytes() for m in expected if len(m) > 1]
+            assert blocks == list(dict.fromkeys(cut))  # each distinct block once
+            assert hexes(values) == hexes(dense_extremes(matrix))
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 40])
+    def test_perturbation_demo_is_one_block(self, n):
+        gram = perturbation_demo(n).gram
+        matrix = gram.as_float()
+        assert _components(gram.lower) == matrix_components(matrix) == [list(range(n))]
+        _, blocks = solved_blocks(lambda: eig_bounds(gram))
+        assert blocks == [matrix.tobytes()]
+
+    def test_singletons_build_no_dense_matrix(self):
+        # a normalized view's 1×1 blocks are 1, whatever their squared norm
+        n = gram_module.MAX_DENSE
+        gram = GramMatrix(
+            tuple(F(k % 7 + 1, 3) for k in range(n)), ((),) * n, normalized=True
+        )
+        tracemalloc.start()
+        try:
+            values = eig_bounds(gram)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values == (1.0, 1.0)
+        assert peak < 1 << 20
+        raw = GramMatrix(gram.diagonal, gram.lower)
+        assert eig_bounds(raw) == (1 / 3, 7 / 3)
 
 
 FLOAT_PATTERNS = ("dense", "sparse", "zero rows", "blocks", "path")
@@ -588,10 +678,11 @@ def certify_blocks():
             family = enumerate_family(5, region, p)
             if not family:
                 continue
-            matrix = build_gram(family, region, normalized=True).as_float()
+            gram = build_gram(family, region, normalized=True)
+            matrix = gram.as_float()
             blocks += [
                 matrix[np.ix_(members, members)]
-                for members in _components(matrix)
+                for members in _components(gram.lower)
                 if len(members) > 1
             ]
     return blocks
@@ -656,7 +747,7 @@ class TestJacobiKernel:
             views.append(build_gram(family, region, normalized=True).as_float())
         for matrix in views:
             assert np.array_equal(matrix, matrix.T)
-            for members in _components(matrix):
+            for members in _components(raw.lower):
                 block = matrix[np.ix_(members, members)]
                 assert np.array_equal(block, block.T)
 

@@ -44,6 +44,7 @@ from conftest import (
     matrix_components,
     reference_certified_lower_bound,
     reference_pencil_extremes,
+    solved_blocks,
     step_sets,
 )
 
@@ -235,7 +236,7 @@ def bracket_case(cells, depth, p, guess=None):
     the guess defaults to the tree's float λ_min, as in a search."""
     tree = _CountTree.from_cells(list(cells), depth)
     if guess is None:
-        guess = tree.extremes(p)[0]
+        guess = tree.extremes(p, {})[0]
     reference = reference_certified_lower_bound(StepSet.from_cells(cells), p, depth)
     grid = search._bracket_grid(F(1, 1 << 20))
     return search._bracket(tree, p, grid, guess), reference
@@ -288,7 +289,7 @@ class TestTreeBracket:
         self, monkeypatch, offset, depth, resolution, p, bias
     ):
         cells = _draw_cells(resolution, bias, derive_seed(0x6E55, depth))
-        low = _CountTree.from_cells(list(cells), depth).extremes(p)[0]
+        low = _CountTree.from_cells(list(cells), depth).extremes(p, {})[0]
         guess = {
             "zero": 0.0,
             "top": 2.0 - GRID_STEP,
@@ -681,13 +682,28 @@ def assert_tree_matches_reference(tree, p):
         if density(region, DyadicInterval(level, index)) >= p
     ]
     assert tree_gram(tree, p).entries == build_gram(family, region).entries
-    _, matrix = tree.pencil(p)
-    if family:
-        reference = build_gram(family, region, normalized=True).as_float()
-        assert matrix.tobytes() == reference.tobytes()
-    low, high, size = tree.extremes(p)
+    (low, high, size), blocks = solved_blocks(lambda: tree.extremes(p, {}))
+    assert blocks == list(dict.fromkeys(dense_blocks(tree, p)))
     ref_low, ref_high, ref_size = reference_pencil_extremes(region, p, depth)
     assert (low.hex(), high.hex(), size) == (ref_low.hex(), ref_high.hex(), ref_size)
+
+
+def dense_blocks(tree, p):
+    """The bytes of each multi-member block of the candidate's normalized
+    pencil, in the order of their least members: the blocks of
+    ``build_gram(family, region, normalized=True).as_float()`` cut by
+    ``np.ix_`` along its nonzero pattern, the dense route kept as the
+    reference (test-side)."""
+    region = StepSet.from_cells(tree.cells)
+    family = enumerate_family(tree.depth, region, p)
+    if not family:
+        return []
+    matrix = build_gram(family, region, normalized=True).as_float()
+    return [
+        matrix[np.ix_(members, members)].tobytes()
+        for members in matrix_components(matrix)
+        if len(members) > 1
+    ]
 
 
 def flip_sequence(resolution, count):
@@ -710,10 +726,10 @@ class TestCountTree:
         scored = []
         original = search._score
 
-        def checked(tree, cfg, floor, ceiling):
+        def checked(tree, cfg, floor, ceiling, memo):
             assert_tree_matches_reference(tree, cfg.p)
-            scored.append(tree.extremes(cfg.p))
-            return original(tree, cfg, floor, ceiling)
+            scored.append(tree.extremes(cfg.p, {}))
+            return original(tree, cfg, floor, ceiling, memo)
 
         monkeypatch.setattr(search, "_score", checked)
         iterations = 45 if mode == "greedy-flip" else 12
@@ -746,9 +762,9 @@ class TestCountTree:
 
     def test_root_dense_and_empty_families(self):
         full = _CountTree.from_cells([True] * 8, 4)
-        assert full.extremes(F(1)) == (1.0, 1.0, 31)
+        assert full.extremes(F(1), {}) == (1.0, 1.0, 31)
         empty = _CountTree.from_cells([False] * 8, 4)
-        assert empty.extremes(F(1, 2)) == (1.0, 1.0, 0)
+        assert empty.extremes(F(1, 2), {}) == (1.0, 1.0, 0)
         assert_tree_matches_reference(full, F(1))
         assert_tree_matches_reference(empty, F(1, 2))
 
@@ -797,10 +813,12 @@ class TestFinerResolution:
                 coarse_gram, c, coarse_gram.diagonal
             )
             assert bessel_certificate(gram, p) is bessel_certificate(coarse_gram, p)
-        _, coarse_matrix = coarse_tree.pencil(p)
-        _, fine_matrix = fine_tree.pencil(p)
-        assert coarse_matrix.tobytes() == fine_matrix.tobytes()
-        scores = [tree.extremes(p) for tree in (coarse_tree, fine_tree)]
+        (coarse_score, coarse_blocks), (fine_score, fine_blocks) = (
+            solved_blocks(lambda: tree.extremes(p, {})) for tree in (coarse_tree, fine_tree)
+        )
+        assert coarse_blocks == fine_blocks
+        assert coarse_blocks == list(dict.fromkeys(dense_blocks(coarse_tree, p)))
+        scores = [coarse_score, fine_score]
         reference = reference_pencil_extremes(region, p, depth)
         for low, high, size in scores:
             assert (low.hex(), high.hex(), size) == (
@@ -808,6 +826,35 @@ class TestFinerResolution:
                 reference[1].hex(),
                 reference[2],
             )
+
+
+class TestScoreInvariants:
+    """A candidate whose float extremes break either theorem bound is a
+    consistency failure that names the candidate's set."""
+
+    CELLS = [True, True, False, True, True, True, False, True]
+
+    def forced(self, monkeypatch, low, high):
+        tree = _CountTree.from_cells(list(self.CELLS), 2)
+        monkeypatch.setattr(_CountTree, "extremes", lambda self, p, memo: (low, high, 3))
+        cfg = SearchConfig(p=F(3, 4), depth=2, cell_resolution=3, iterations=1, seed=1)
+        floor = search._floor_for(cfg.p)
+        return lambda: search._score(tree, cfg, floor, 4 / 3 + search._FLOAT_TOL, {})
+
+    def test_floor_undercut(self, monkeypatch):
+        score = self.forced(monkeypatch, float(riesz_constant(F(3, 4))) - 1e-3, 1.0)
+        with pytest.raises(ConsistencyError, match="undercuts the certified lower bound") as caught:
+            score()
+        assert str(StepSet.from_cells(self.CELLS)) in str(caught.value)
+
+    def test_ceiling_exceeded(self, monkeypatch):
+        score = self.forced(monkeypatch, 0.5, 4 / 3 + 1e-3)
+        with pytest.raises(ConsistencyError, match="exceeds the upper bound 1/p") as caught:
+            score()
+        assert str(StepSet.from_cells(self.CELLS)) in str(caught.value)
+
+    def test_within_both_bounds(self, monkeypatch):
+        assert self.forced(monkeypatch, 0.5, 1.25)() == (0.5, 3)
 
 
 class TestCandidateWork:
@@ -883,19 +930,6 @@ class TestCandidateWork:
         assert calls["eig_bounds"] == 0
 
 
-def multi_member_blocks(tree, p):
-    """The bytes of each block of two or more members of the candidate's
-    pencil, found by breadth-first search (test-side)."""
-    family, matrix = tree.pencil(p)
-    if not family:
-        return set()
-    return {
-        matrix[np.ix_(members, members)].tobytes()
-        for members in matrix_components(matrix)
-        if len(members) > 1
-    }
-
-
 class TestBlockMemo:
     """One search keeps the extremes of every pencil block it solved."""
 
@@ -923,22 +957,22 @@ class TestBlockMemo:
         toggle = _CountTree.toggle
 
         def recorded_toggle(tree, cell):
-            before[tree] = (set(tree.family(p)), multi_member_blocks(tree, p))
+            before[tree] = (set(tree.family(p)), set(dense_blocks(tree, p)))
             toggle(tree, cell)
 
         monkeypatch.setattr(_CountTree, "toggle", recorded_toggle)
         starts = flips = reused = solved = 0
         score = search._score
 
-        def checked(tree, cfg, floor, ceiling):
+        def checked(tree, cfg, floor, ceiling, memo):
             start = solves[0]
-            out = score(tree, cfg, floor, ceiling)
+            out = score(tree, cfg, floor, ceiling, memo)
             nonlocal starts, flips, reused, solved
             if tree not in before:  # a start or a restart: a fresh tree
                 starts += 1
             else:
                 family, old_blocks = before.pop(tree)
-                new_blocks = multi_member_blocks(tree, p)
+                new_blocks = set(dense_blocks(tree, p))
                 fresh = solves[0] - start
                 # a block of the pencil the flip started from is never re-solved
                 assert fresh <= len(new_blocks - old_blocks)
