@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .constants import comparison_table
-from .counterexample import counterexample_table, partial_sum_structure
+from .counterexample import _check_partial_sum, _rows
 from .errors import ConsistencyError, ConvergenceError, InputError
 from .gram import (
     build_gram,
@@ -121,14 +121,17 @@ def cmd_verify_weights(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    rows = counterexample_table(args.n)
-    # cross-check the closed forms; a mismatch is a consistency failure
-    for row in rows:
+    # one pass builds the table; each row's closed forms and the structure of
+    # the step function its norm was integrated from are checked as it comes,
+    # and a mismatch is a consistency failure
+    rows = []
+    for row, partial in _rows(args.n):
         if row.sum_of_norms != Fraction(2, 3) + Fraction(row.n, 6):
             raise ConsistencyError(f"sum of norms at n={row.n} misses its closed form")
         if row.norm_of_sum != Fraction(2, 3):
             raise ConsistencyError(f"norm of sum at n={row.n} misses its closed form")
-        partial_sum_structure(row.n)
+        _check_partial_sum(row.n, partial)
+        rows.append(row)
     if args.format == "csv":
         lines = ["n,sum_of_norms,norm_of_sum,ratio,sum_of_norms_float,norm_of_sum_float,ratio_float"]
         for row in rows:

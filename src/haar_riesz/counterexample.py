@@ -5,13 +5,20 @@ Every even-stage interval meets E in exactly 2/3 of its length, so the family
 of even stages is admissible at p = 2/3 — yet with coefficients 1, 1, 2, 4, …
 the combined norm stays at 2/3 while the sum of individual norms grows
 linearly.  The ratio 4/(4+n) → 0 shows no positive lower constant survives.
+
+Every function here takes its stages from one walk down the descent
+(:func:`_descent`), one halving per stage.  The table is one pass over its rows (:func:`_rows`) that
+yields each row with the step function its norm was integrated from, so the
+CLI checks the closed forms and the partial-sum structure
+(:func:`_check_partial_sum`) on the functions the table built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, NamedTuple, Optional
+from itertools import islice
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import ConsistencyError, InputError
 from .haar import (
@@ -34,25 +41,30 @@ class ZigzagState:
     coefficient: Optional[Fraction]  # defined on even stages only
 
 
+def _descent(stages: int) -> Iterator[ZigzagState]:
+    """Stages 0, …, stages − 1 of the descent, each one halving of the last:
+    right half after an even stage, left half after an odd one."""
+    interval = DyadicInterval(0, 0)
+    for stage in range(stages):
+        if stage:
+            lh, rh = halves(interval)
+            interval = rh if stage % 2 == 1 else lh
+        coefficient = None if stage % 2 else Fraction(2 ** max(stage // 2 - 1, 0))
+        yield ZigzagState(stage, interval, coefficient)
+
+
 def zigzag(stage: int) -> ZigzagState:
     """Stage-n interval of the zig-zag descent, plus its coefficient when even."""
     if stage < 0:
         raise InputError(f"stage must be >= 0, got {stage}")
-    interval = DyadicInterval(0, 0)
-    for s in range(1, stage + 1):
-        lh, rh = halves(interval)
-        interval = rh if s % 2 == 1 else lh
-    coefficient = None
-    if stage % 2 == 0:
-        m = stage // 2
-        coefficient = Fraction(1) if m == 0 else Fraction(2 ** (m - 1))
-    return ZigzagState(stage, interval, coefficient)
+    *_, state = _descent(stage + 1)
+    return state
 
 
 def zigzag_coefficients(n: int) -> CoefficientMap:
     """Coefficients on the even stages 0, 2, …, 2n."""
-    states = [zigzag(2 * k) for k in range(n + 1)]
-    return CoefficientMap((s.interval, s.coefficient) for s in states)
+    even = islice(_descent(2 * n + 1), 0, None, 2)
+    return CoefficientMap((s.interval, s.coefficient) for s in even)
 
 
 def check_zigzag_densities(n: int) -> bool:
@@ -60,11 +72,10 @@ def check_zigzag_densities(n: int) -> bool:
     2/3 on even stages and 1/3 on odd stages."""
     if n < 0:
         raise InputError(f"need n >= 0, got {n}")
-    for stage in range(2 * n + 2):
-        state = zigzag(stage)
-        if state.interval.measure != Fraction(1, 2**stage):
+    for state in _descent(2 * n + 2):
+        if state.interval.measure != Fraction(1, 2**state.stage):
             return False
-        want = Fraction(2, 3) if stage % 2 == 0 else Fraction(1, 3)
+        want = Fraction(2, 3) if state.stage % 2 == 0 else Fraction(1, 3)
         if density(TWO_THIRDS_SET, state.interval) != want:
             return False
     return True
@@ -77,7 +88,27 @@ class CounterexampleRow(NamedTuple):
     ratio: Fraction
 
 
-MAX_TABLE_N = 200  # row n integrates a step function down to level 2n: 11.6 s at the cap
+# row n integrates a step function down to level 2n.  At the cap the table
+# and the CLI, which also checks each row's function, take 0.5-0.9 s each
+# in process (Python 3.11, a shared 2-core machine)
+MAX_TABLE_N = 200
+
+
+def _rows(N: int) -> Iterator[Tuple[CounterexampleRow, PiecewiseConstant]]:
+    """Rows n = 0..N of the table, each with the partial sum Σ_{k ≤ n}
+    a_{2k} h_{I_{2k}} 1_E whose norm it holds; N is checked before the walk."""
+    if N < 0:
+        raise InputError(f"need N >= 0, got {N}")
+    if N > MAX_TABLE_N:
+        raise InputError(f"need N <= {MAX_TABLE_N}, got {N}")
+    running = Fraction(0)
+    coeffs: dict[DyadicInterval, Fraction] = {}
+    for state in islice(_descent(2 * N + 1), 0, None, 2):
+        coeffs[state.interval] = state.coefficient
+        running += state.coefficient**2 * restricted_norm_sq(state.interval, TWO_THIRDS_SET)
+        partial = combination(CoefficientMap(coeffs), TWO_THIRDS_SET)
+        total = norm_sq(partial)
+        yield CounterexampleRow(state.stage // 2, running, total, total / running), partial
 
 
 def counterexample_table(N: int) -> List[CounterexampleRow]:
@@ -87,43 +118,25 @@ def counterexample_table(N: int) -> List[CounterexampleRow]:
     the sum by integrating the actual step function — never from the closed
     forms 2/3 + n/6 and 2/3, which tests assert against independently.
     """
-    if N < 0:
-        raise InputError(f"need N >= 0, got {N}")
-    if N > MAX_TABLE_N:
-        raise InputError(f"need N <= {MAX_TABLE_N}, got {N}")
-    rows = []
-    running = Fraction(0)
-    coeffs: dict[DyadicInterval, Fraction] = {}
-    for n in range(N + 1):
-        state = zigzag(2 * n)
-        coeffs[state.interval] = state.coefficient
-        running += state.coefficient**2 * restricted_norm_sq(
-            state.interval, TWO_THIRDS_SET
-        )
-        total = norm_sq(combination(CoefficientMap(coeffs), TWO_THIRDS_SET))
-        rows.append(CounterexampleRow(n, running, total, total / running))
-    return rows
+    return [row for row, _ in _rows(N)]
+
+
+def _check_partial_sum(n: int, actual: PiecewiseConstant):
+    """Raise unless the stage-2n partial sum is its closed form: −1 on
+    [0, 1/2) and 2ⁿ on the sliver rh(I_{2n}) ∩ E = [2/3 − 4⁻ⁿ/6, 2/3)."""
+    sliver = Fraction(2, 3) - Fraction(1, 6 * 4**n)
+    expected = PiecewiseConstant.from_segments(
+        [(Fraction(0), Fraction(1, 2), Fraction(-1)), (sliver, Fraction(2, 3), Fraction(2**n))]
+    )
+    if actual != expected:
+        raise ConsistencyError(f"zig-zag partial sum at n={n} does not match its closed form")
 
 
 def partial_sum_structure(n: int) -> PiecewiseConstant:
     """The partial sum Σ_{k ≤ n} a_{2k} h_{I_{2k}} 1_E, computed generically and
-    cross-checked against its closed form: −1 left of 1/2, 2ⁿ on the surviving
-    sliver rh(I_{2n}) ∩ E, 0 elsewhere."""
+    cross-checked against its closed form (:func:`_check_partial_sum`)."""
     if n < 0:
         raise InputError(f"need n >= 0, got {n}")
     actual = combination(zigzag_coefficients(n), TWO_THIRDS_SET)
-    _, sliver = halves(zigzag(2 * n).interval)
-    right = min(sliver.right, Fraction(2, 3))
-    if sliver.left >= right:
-        raise ConsistencyError(f"empty sliver at stage {2 * n}")
-    expected = PiecewiseConstant.from_segments(
-        [
-            (Fraction(0), Fraction(1, 2), Fraction(-1)),
-            (sliver.left, right, Fraction(2**n)),
-        ]
-    )
-    if actual != expected:
-        raise ConsistencyError(
-            f"zig-zag partial sum at n={n} does not match its closed form"
-        )
+    _check_partial_sum(n, actual)
     return actual

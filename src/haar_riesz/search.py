@@ -41,7 +41,7 @@ from typing import List, Optional, Tuple
 
 from .constants import riesz_constant
 from .errors import ConsistencyError, InputError
-from .gram import _chain_store, _extreme_eigenvalues, _pivot_psd
+from .gram import _chain_store, _extreme_eigenvalues, _pivot_psd, check_dense
 from .haar import admissible_nodes, check_family_args
 from .measure import StepSet, cell_runs, dyadic_counts, heap_sums
 
@@ -335,6 +335,7 @@ class _CountTree:
         """(λ_min, λ_max, family size) of the normalized pencil; (1.0, 1.0, 0)
         for an empty family.
 
+        A family past the dense cap is refused before its store is built.
         The pencil's store comes from :func:`_chain_store`, masses and slopes
         the counts over the unit (int/int division rounds as ``float`` of the
         Fraction does), and is solved block by block: a block whose bytes
@@ -345,6 +346,7 @@ class _CountTree:
         family = self.family(p)
         if not family:
             return 1.0, 1.0, 0
+        check_dense(len(family))
         mass = [counts[v] / unit for v in family]
         slope = [(counts[2 * v + 1] - counts[2 * v]) / unit for v in family]
         low, high = _extreme_eigenvalues(*_chain_store(family, mass, slope), True, memo)

@@ -466,7 +466,7 @@ class TestResourceCaps:
         def reached(*args):
             raise AssertionError("the work was started")
 
-        monkeypatch.setattr(counterexample, "zigzag", reached)
+        monkeypatch.setattr(counterexample, "_descent", reached)
         monkeypatch.setattr(gram, "Fraction", reached)
         n = str(counterexample.MAX_TABLE_N + 1)
         assert run(["counterexample", "--n", n]) == 2

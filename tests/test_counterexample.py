@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import pytest
 
 from haar_riesz import (
+    CoefficientMap,
+    ConsistencyError,
     DyadicInterval,
     InputError,
     PiecewiseConstant,
@@ -14,9 +16,23 @@ from haar_riesz import (
     zigzag,
     zigzag_coefficients,
 )
-from haar_riesz import counterexample
-from haar_riesz.counterexample import MAX_TABLE_N, TWO_THIRDS_SET
+from haar_riesz import counterexample, haar
+from haar_riesz.cli import run
+from haar_riesz.counterexample import MAX_TABLE_N, TWO_THIRDS_SET, _descent
 from haar_riesz.haar import halves, restricted_norm_sq
+
+
+def reference_zigzag(stage):
+    """(interval, coefficient) of one stage, descending from the root on its
+    own: right half after an even stage, left half after an odd one, and
+    coefficient 2^(m−1) on stage 2m > 0."""
+    interval = DyadicInterval(0, 0)
+    for s in range(1, stage + 1):
+        lh, rh = halves(interval)
+        interval = rh if s % 2 == 1 else lh
+    if stage % 2:
+        return interval, None
+    return interval, F(1) if stage == 0 else F(2) ** (stage // 2 - 1)
 
 
 class TestZigzag:
@@ -49,6 +65,23 @@ class TestZigzag:
     def test_negative_stage(self):
         with pytest.raises(InputError):
             zigzag(-1)
+
+    def test_walk_matches_a_descent_per_stage(self):
+        states = list(_descent(401))
+        assert [s.stage for s in states] == list(range(401))
+        for stage in range(401):
+            interval, coefficient = reference_zigzag(stage)
+            assert states[stage].interval == interval
+            assert states[stage].coefficient == coefficient
+        for stage in (0, 1, 2, 57, 400):
+            assert zigzag(stage) == states[stage]
+
+    def test_coefficients_read_the_walk(self):
+        coeffs = zigzag_coefficients(200)
+        assert coeffs == CoefficientMap(
+            reference_zigzag(2 * k) for k in range(201)
+        )
+        assert len(zigzag_coefficients(-1).support()) == 0
 
 
 class TestDensities:
@@ -83,11 +116,21 @@ class TestTable:
         ratios = [row.ratio for row in rows]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
+    def test_closed_forms_up_to_the_cap(self):
+        rows = counterexample_table(MAX_TABLE_N)
+        assert [row.n for row in rows] == list(range(MAX_TABLE_N + 1))
+        for row in rows:
+            assert row.sum_of_norms == F(2, 3) + F(row.n, 6)
+            assert row.norm_of_sum == F(2, 3)
+            assert row.ratio == F(4, 4 + row.n)
+        for N in (0, 1, 17, 120):
+            assert counterexample_table(N) == rows[: N + 1]
+
     def test_cap_checked_before_the_table(self, monkeypatch):
         def reached(*args):
             raise AssertionError("the table was started")
 
-        monkeypatch.setattr(counterexample, "zigzag", reached)
+        monkeypatch.setattr(counterexample, "_descent", reached)
         for n in (MAX_TABLE_N + 1, 10**9):
             with pytest.raises(InputError):
                 counterexample_table(n)
@@ -117,6 +160,35 @@ class TestPartialSumStructure:
             if v > 0
         )
         assert positive == F(1, 3) * F(1, 2 ** (2 * n + 1))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_each_row_has_its_own_closed_form(self, n):
+        partial = partial_sum_structure(n)
+        counterexample._check_partial_sum(n, partial)
+        for other in (n - 1, n + 1):
+            with pytest.raises(ConsistencyError):
+                counterexample._check_partial_sum(other, partial)
+
+    def test_rows_carry_the_partial_sums(self):
+        for row, partial in counterexample._rows(8):
+            assert partial == partial_sum_structure(row.n)
+
+
+class TestCliWork:
+    def test_one_walk_per_run(self, capsys, monkeypatch):
+        """The CLI halves each stage once: 2N halvings for N rows, where a
+        descent per stage and per check grows as N³/3."""
+        calls = []
+
+        def counted(interval):
+            calls.append(interval)
+            return halves(interval)
+
+        monkeypatch.setattr(haar, "halves", counted)
+        monkeypatch.setattr(counterexample, "halves", counted)
+        assert run(["counterexample", "--n", "40"]) == 0
+        assert len(capsys.readouterr().out) > 0
+        assert 0 < len(calls) <= 164
 
 
 class TestAdmissibilityBoundary:

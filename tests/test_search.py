@@ -30,6 +30,7 @@ from haar_riesz import (
     riesz_constant,
     search_extremal,
     splitmix64,
+    verify_riesz,
 )
 from haar_riesz import gram as gram_module
 from haar_riesz.cli import run
@@ -776,6 +777,23 @@ class TestCountTree:
         assert_tree_matches_reference(tree, F(3, 4))
 
 
+class TestDenseCap:
+    def test_refused_before_the_store_is_built(self, monkeypatch):
+        def reached(*args):
+            raise AssertionError("the float store was built")
+
+        monkeypatch.setattr(search, "_chain_store", reached)
+        cfg = SearchConfig(
+            p=F(1, 2), depth=11, cell_resolution=12, iterations=1, seed=1, density_bias=1.0
+        )
+        with pytest.raises(InputError, match="4095 members exceeds the cap"):
+            search_extremal(cfg)
+        with pytest.raises(InputError, match="4095 members exceeds the cap"):
+            pencil_extremes(FULL, F(1, 2), 11)
+        with pytest.raises(AssertionError):  # a family at the cap is built
+            pencil_extremes(FULL, F(1, 2), 10)
+
+
 class TestFinerResolution:
     """Writing the cells of a set at a finer resolution changes nothing."""
 
@@ -1057,6 +1075,15 @@ def test_seeded_results_unchanged(case, digest):
             density_bias=bias,
         )
     )
+    # oracles that hold for any eigensolver: the winner's exact bracket,
+    # its float ratio at the bracket and every ratio above the theorem's floor
+    family = enumerate_family(depth, result.best_set, p)
+    lower, width = result.certificate_lower, F(1, 2**20)
+    assert family and verify_riesz(family, result.best_set, lower)
+    assert not verify_riesz(family, result.best_set, lower + width)
+    assert lower - F(1, 10**12) <= F(result.best_ratio) <= lower + width + F(1, 10**12)
+    if p > F(2, 3):
+        assert min(result.ratios) >= riesz_constant(p) - F(1, 10**8)
     payload = json.dumps(
         [
             result.best_ratio.hex(),
