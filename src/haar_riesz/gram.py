@@ -24,9 +24,11 @@ Two verification routes live here and are kept deliberately independent:
   ancestors, found from the store; each block is built from its own store
   and solved apart, so no n×n float matrix is built but to print one, and a
   search can reuse the value of a block that a flip left unchanged.  A
-  block is bitwise symmetric, so a rotation computes its two new rows into
-  place from four product buffers and copies them into the two columns:
-  the bits of a two-sided rotation at half its cost.
+  block is bitwise symmetric, so a rotation computes its two new rows in
+  place and copies row q into column q; column p, read only at the corners
+  it rotates, is copied once per pivot row, and an exact c = 1 rotation
+  skips the products by c: the bits of a two-sided rotation at a fraction
+  of its numpy calls.
 """
 
 from __future__ import annotations
@@ -428,18 +430,32 @@ def _jacobi(A, target, max_sweeps):
 
     Returns (final off-diagonal Frobenius norm, sweeps used).  A must be
     bitwise symmetric (``np.array_equal(A, A.T)``), as every block that
-    :func:`float_view` builds is.  Each rotation writes the new
-    rows p and q from four products c·r_p, s·r_q, s·r_p and c·r_q held in
-    buffers allocated once per call, then copies them into columns p and q.
-    Off the 2×2 corner that copy is exactly the column rotation, since
-    A[k, p] = A[p, k] for every other k, and the rotated matrix is bitwise
-    symmetric again.  The corner is rotated from its old entries in Python
-    floats, rows first and then columns as a two-sided rotation does; every
-    product and difference rounds once, as numpy's float64 operations do.
-    A tiny A[p, q] sends tau to inf and t to 0 (no rotation) without an
-    overflow warning.
+    :func:`float_view` builds is.  The bits are those of the two-sided
+    rotation that updates rows p and q and then columns p and q, with three
+    savings, each exact:
+
+    * The new rows p and q are written in place from the products c·r_p,
+      s·r_q, s·r_p and c·r_q, held in buffers allocated once per call; row q
+      is then copied into column q.  Off the 2×2 corner that copy is the
+      column rotation, since A[k, p] = A[p, k] for every other k.  Column q
+      is copied at every rotation, because a later row q' > q reads A[q', q].
+    * Column p is copied from row p once, after the last q of pivot row p.
+      Until then A[q, p] is stale, but rotation (p, q) carries it only into
+      positions (p, p), (q, p) and, by the column-q copy, (p, q), which the
+      corner formulas or that copy overwrite; nothing else reads column p.
+    * c and s are passed as reused 0-d float64 operands, which round each
+      product as the Python floats do.  When c is exactly 1.0, c·x = x in
+      IEEE 754, so the rotation takes s·r_q and s·r_p alone.
+
+    The corner is rotated from its old entries in Python floats, rows first
+    and then columns as a two-sided rotation does; every product and
+    difference rounds once, as numpy's float64 operations do, and the
+    rotated matrix is bitwise symmetric again.  A tiny A[p, q] sends tau to
+    inf and t to 0 (no rotation) without an overflow warning.
     """
     n = A.shape[0]
+    rows = list(A)  # row views: writes go into A
+    c0, s0 = np.empty(()), np.empty(())
     cp, sq, sp, cq = (np.empty(n) for _ in range(4))
     sweeps = 0
     while sweeps < max_sweeps:
@@ -447,12 +463,14 @@ def _jacobi(A, target, max_sweeps):
         if off <= target:
             return off, sweeps
         for p in range(n - 1):
+            row_p = rows[p]
             for q in range(p + 1, n):
-                apq = float(A[p, q])
+                apq = row_p.item(q)
                 if apq == 0.0:
                     continue
-                app = float(A[p, p])
-                aqq = float(A[q, q])
+                row_q = rows[q]
+                app = row_p.item(p)
+                aqq = row_q.item(q)
                 tau = (aqq - app) / (2.0 * apq)
                 if tau >= 0.0:
                     t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
@@ -460,23 +478,27 @@ def _jacobi(A, target, max_sweeps):
                     t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                row_p, row_q = A[p], A[q]
-                np.multiply(row_p, c, cp)
-                np.multiply(row_q, s, sq)
-                np.multiply(row_p, s, sp)
-                np.multiply(row_q, c, cq)
-                np.subtract(cp, sq, row_p)
-                np.add(sp, cq, row_q)
-                A[:, p] = row_p
+                s0[()] = s
+                np.multiply(row_q, s0, sq)
+                np.multiply(row_p, s0, sp)
+                if c == 1.0:
+                    np.subtract(row_p, sq, row_p)
+                    np.add(sp, row_q, row_q)
+                else:
+                    c0[()] = c
+                    np.multiply(row_p, c0, cp)
+                    np.multiply(row_q, c0, cq)
+                    np.subtract(cp, sq, row_p)
+                    np.add(sp, cq, row_q)
                 A[:, q] = row_q
                 rpp = c * app - s * apq
                 rpq = c * apq - s * aqq
                 rqp = s * app + c * apq
                 rqq = s * apq + c * aqq
-                A[p, p] = c * rpp - s * rpq
-                A[q, q] = s * rqp + c * rqq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
+                row_p[p] = c * rpp - s * rpq
+                row_q[q] = s * rqp + c * rqq
+                row_p[q] = 0.0
+            A[:, p] = row_p
         sweeps += 1
     off = float(np.sqrt(2.0 * (np.triu(A, 1) ** 2).sum()))
     return off, sweeps
@@ -505,7 +527,9 @@ def _components(lower: Sequence[Sequence]) -> list:
 
 def _block_extremes(block: np.ndarray) -> Tuple[float, float]:
     """Extreme eigenvalues of one block by Jacobi, in place, to within
-    1e−14 · ‖block‖_F."""
+    1e−14 · ‖block‖_F.  The block must be bitwise symmetric: :func:`_jacobi`
+    writes each rotated row into its column and copies column p once per
+    pivot row, which gives the two-sided rotation's bits only then."""
     fro = float(np.sqrt((block * block).sum()))
     if fro == 0.0:
         return 0.0, 0.0
@@ -564,13 +588,15 @@ def eig_bounds(gram: GramMatrix) -> Tuple[float, float]:
     off-diagonal Frobenius mass is at most 1e−14 times its own Frobenius
     norm, so its extreme eigenvalues are accurate to about that much in
     absolute terms.  Each block is bitwise symmetric, which lets each
-    rotation update two rows in place and copy them into the two columns (see
-    :func:`_jacobi`).  The whole matrix's extremes are the extremes of its
-    blocks' values and each block's norm is at most ‖G‖_F, so the same bound
-    holds for the whole matrix: comfortably inside 1e−10 for the well-scaled
-    matrices produced here.  The result is deterministic, bit for bit, and no
-    sweep raises a float warning.  Raises :class:`ConvergenceError` when a
-    block has not converged after 64 sweeps.
+    rotation update two rows in place, copy row q into column q and leave
+    column p to one copy per pivot row, with a shorter rotation when c is
+    exactly 1 (see :func:`_jacobi`).  The whole matrix's extremes are the
+    extremes of its blocks' values and each block's norm is at most ‖G‖_F,
+    so the same bound holds for the whole matrix: comfortably inside 1e−10
+    for the well-scaled matrices produced here.  The result is
+    deterministic, bit for bit, and no sweep raises a float warning.  Raises
+    :class:`ConvergenceError` when a block has not converged after 64
+    sweeps.
     """
     diagonal = [float(d) for d in gram.diagonal]
     return _extreme_eigenvalues(diagonal, gram.lower, gram.normalized, {})

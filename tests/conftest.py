@@ -188,16 +188,19 @@ def dense_exact_psd(rows) -> bool:
     return True
 
 
-def reference_jacobi(A, target, max_sweeps):
+def reference_jacobi(A, target, max_sweeps, forms=None):
     """Cyclic-by-row Jacobi sweeps on a symmetric matrix, in place.
 
-    The library's earlier kernel, kept here unchanged as a differential
-    reference for :func:`haar_riesz.gram._jacobi`.
+    The plain two-sided rotation: rows p and q as vectors, then columns p
+    and q from the rotated rows, then A[p, q] = A[q, p] = 0.  Its bits are
+    the ones :func:`haar_riesz.gram._jacobi` must give, bit for bit.
 
-    Returns (final off-diagonal Frobenius norm, sweeps used).  Each rotation
-    updates two rows and two columns as vectors.  Its scalars are Python
-    floats: they round as numpy's float64 scalars do, but a tiny A[p, q]
-    sends tau to inf and t to 0 (no rotation) without an overflow warning.
+    Returns (final off-diagonal Frobenius norm, sweeps used).  Its scalars
+    are Python floats: they round as numpy's float64 scalars do, but a tiny
+    A[p, q] sends tau to inf and t to 0 (no rotation) without an overflow
+    warning.  When ``forms`` is a list, each sweep appends the list of its
+    pairs' forms: "skip" when A[p, q] == 0.0, "c=1" when c == 1.0 exactly,
+    else "c<1".
     """
     n = A.shape[0]
     sweeps = 0
@@ -205,10 +208,14 @@ def reference_jacobi(A, target, max_sweeps):
         off = float(np.sqrt(2.0 * (np.triu(A, 1) ** 2).sum()))
         if off <= target:
             return off, sweeps
+        sweep = []
+        if forms is not None:
+            forms.append(sweep)
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = float(A[p, q])
                 if apq == 0.0:
+                    sweep.append("skip")
                     continue
                 tau = (float(A[q, q]) - float(A[p, p])) / (2.0 * apq)
                 if tau >= 0.0:
@@ -217,6 +224,7 @@ def reference_jacobi(A, target, max_sweeps):
                     t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
+                sweep.append("c=1" if c == 1.0 else "c<1")
                 rp = A[p, :].copy()
                 rq = A[q, :].copy()
                 A[p, :] = c * rp - s * rq

@@ -700,8 +700,28 @@ def relative_target(matrix):
     return _JACOBI_REL_TOL * float(np.sqrt((matrix * matrix).sum()))
 
 
+def sweep_by_sweep(matrix, target):
+    """Run the kernel and the reference one sweep at a time on copies of a
+    bitwise symmetric matrix, asserting equal results and bytes after every
+    sweep, until the kernel converges; the reference's rotation forms, one
+    list per sweep."""
+    assert matrix.tobytes() == matrix.T.copy().tobytes()
+    ours, theirs = matrix.copy(), matrix.copy()
+    forms = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(_JACOBI_MAX_SWEEPS + 1):
+            off, sweeps = _jacobi(ours, target, 1)
+            ref_off, ref_sweeps = reference_jacobi(theirs, target, 1, forms)
+            assert (off.hex(), sweeps) == (ref_off.hex(), ref_sweeps)
+            assert ours.tobytes() == theirs.tobytes()
+            if sweeps == 0:
+                return forms
+    raise AssertionError("no convergence")
+
+
 class TestJacobiKernel:
-    """The buffer-and-mirror rotation against the earlier two-sided kernel."""
+    """The kernel's rotation against the plain two-sided rotation."""
 
     @given(float_symmetric_matrices(), st.sampled_from((1, 2, 64)))
     @settings(max_examples=200)
@@ -721,6 +741,36 @@ class TestJacobiKernel:
             mine, ref = jacobi_both(block, relative_target(block), _JACOBI_MAX_SWEEPS)
             assert mine[0][0].hex() == ref[0][0].hex() and mine[0][1] == ref[0][1]
             assert mine[1] == ref[1]
+
+    def test_certify_blocks_reach_every_rotation_form(self):
+        forms = []
+        for block in certify_blocks():
+            reference_jacobi(block.copy(), relative_target(block), _JACOBI_MAX_SWEEPS, forms)
+        assert {form for sweep in forms for form in sweep} == {"skip", "c=1", "c<1"}
+
+    def test_tau_overflow_rotates_with_c_one_and_s_zero(self):
+        # (1e-170)² underflows to 0, so no sweep would run; 1e-160 keeps a
+        # subnormal square while τ = 5e159 still overflows in τ²
+        matrix = np.array([[1.0, 1e-160], [1e-160, 2.0]])
+        assert sweep_by_sweep(matrix, 0.0) == [["c=1"]]
+
+    def test_zero_row_and_signed_zeros(self):
+        matrix = np.array([
+            [2.0, -0.0, 1.0, -0.0],
+            [-0.0, 0.0, 0.0, -0.0],
+            [1.0, 0.0, -3.0, 0.5],
+            [-0.0, -0.0, 0.5, -0.0],
+        ])
+        forms = sweep_by_sweep(matrix, relative_target(matrix))
+        assert forms[0] == ["skip", "c<1", "c<1", "skip", "skip", "c<1"]  # row 1 skipped
+
+    def test_last_sweep_rotates_with_c_one_only(self):
+        # the first rotation takes c = 1 with s = 1e-8 beside entries 0.5
+        # and 3, large enough that s·r_p taken from the rotated row p reads
+        # differently in the last bit
+        matrix = np.array([[1.0, 1e-8, 0.5], [1e-8, 2.0, 3.0], [0.5, 3.0, 4.0]])
+        forms = sweep_by_sweep(matrix, relative_target(matrix))
+        assert forms[0] == ["c=1", "c<1", "c<1"] and forms[-1] == ["c=1"] * 3
 
     @given(float_symmetric_matrices(max_size=24))
     @settings(max_examples=60)
