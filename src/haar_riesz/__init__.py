@@ -24,7 +24,6 @@ from .errors import ConsistencyError, ConvergenceError, InputError
 from .gram import (
     GramMatrix,
     PerturbationDemo,
-    bessel_certificate,
     build_gram,
     eig_bounds,
     perturbation_demo,
@@ -40,7 +39,6 @@ from .haar import (
     haar_function,
     halves,
     indicator,
-    inner_product,
     norm_sq,
     restricted_norm_sq,
 )
@@ -51,7 +49,6 @@ from .measure import (
     StepSet,
     density,
     intersect_measure,
-    normalize,
 )
 from .rational import format_rational, parse_rational, render_float
 from .search import (
@@ -59,7 +56,6 @@ from .search import (
     SearchResult,
     certified_lower_bound,
     derive_seed,
-    min_ratio,
     pencil_extremes,
     random_stepset,
     search_extremal,

@@ -327,7 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True, help="max dyadic level of the family")
     p.add_argument("--c", type=_fraction_arg, help="lower constant to certify exactly")
     p.add_argument("--bessel", action="store_true", help="also certify the 1/p upper bound")
-    p.add_argument("--normalized", action="store_true", help="emit the normalized float view")
+    p.add_argument(
+        "--normalized",
+        action="store_true",
+        help='mark the matrix normalized: csv prints the normalized float view; '
+        'json keeps the exact raw entries and sets "normalized": true',
+    )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     common(p)
     p.set_defaults(func=cmd_gram)

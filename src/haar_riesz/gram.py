@@ -2,8 +2,8 @@
 
 A Gram matrix is kept as its diagonal and each row's nonzero entries left
 of it.  A family's entries, O(n·depth) of them, are written by one walk up
-each member's ancestor chain (:func:`_chain_store`), independent of the
-pairwise reference :func:`haar.inner_product`; dense rows only on request.
+each member's ancestor chain (:func:`_chain_store`), never pair by pair;
+dense rows only on request.
 
 Two verification routes live here and are kept deliberately independent:
 
@@ -15,8 +15,8 @@ Two verification routes live here and are kept deliberately independent:
   the ``gram`` command's ``--c``/``--bessel`` verdicts and the search's
   certified brackets (read off its count table).  A given Gram matrix, with
   no tree behind it, is decided by one rational LDLᵀ (:func:`_ldlt_psd`,
-  through :func:`psd_certificate` and :func:`bessel_certificate`), which the
-  tests use as the pass's independent reference;
+  through :func:`psd_certificate`), which the tests use as the pass's
+  independent reference;
 * a float route — one cyclic Jacobi eigensolver on the float64 view, used
   to drive searches and to cross-check the exact certificates.  Two members
   of a family share a nonzero entry only when one is an ancestor of the
@@ -64,11 +64,13 @@ class GramMatrix:
 
     The one store: ``diagonal`` and, in ``lower[i]``, row i's nonzero raw
     rational inner products left of the diagonal as (j, G_ij), j ascending.
-    Dense ``entries`` are built on request; :meth:`from_entries` goes the
-    other way.  When ``normalized`` is set the matrix *represents* the family
-    v_i/‖v_i‖; those entries involve square roots of rationals, so they are
-    materialized only in the float view (:meth:`as_float`), while every exact
-    computation works on the equivalent pencil form with the diagonal.
+    A family's store comes from :func:`build_gram`; any other matrix is
+    given as its store, which is symmetric by construction.  Dense
+    ``entries`` are built on request.  When ``normalized`` is set the matrix
+    *represents* the family v_i/‖v_i‖; those entries involve square roots of
+    rationals, so they are materialized only in the float view
+    (:meth:`as_float`), while every exact computation works on the
+    equivalent pencil form with the diagonal.
     """
 
     diagonal: Tuple[Fraction, ...]
@@ -83,29 +85,6 @@ class GramMatrix:
             raise InputError("normalized Gram matrix requires positive diagonal")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
-
-    @classmethod
-    def from_entries(cls, entries, labels=None, normalized: bool = False) -> "GramMatrix":
-        """The store of a dense symmetric matrix; entries become Fractions."""
-        rows = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-            for row in entries
-        )
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise InputError("Gram matrix must be square")
-        # tuple equality short-cuts on shared objects, so a Gram matrix whose
-        # mirrored entries are one object each is checked at C speed
-        if tuple(zip(*rows)) != rows:
-            i, j = next(
-                (i, j) for i in range(n) for j in range(i) if rows[i][j] != rows[j][i]
-            )
-            raise InputError(f"Gram matrix not symmetric at ({i}, {j})")
-        lower = tuple(
-            tuple((j, x) for j, x in enumerate(row[:i]) if x)
-            for i, row in enumerate(rows)
-        )
-        return cls(tuple(rows[i][i] for i in range(n)), lower, labels, normalized)
 
     @property
     def size(self) -> int:
@@ -132,6 +111,10 @@ class GramMatrix:
         return float_view([float(d) for d in self.diagonal], self.lower, self.normalized)
 
     def to_json_dict(self) -> dict:
+        """The exact raw entries G_ij as rationals, with ``normalized``
+        telling whether the matrix represents v_i/‖v_i‖: the normalized
+        entries involve square roots, so they appear only in the float view
+        (:meth:`as_float`, :meth:`to_csv`)."""
         return {
             "size": self.size,
             "normalized": self.normalized,
@@ -393,14 +376,6 @@ def verify_riesz(
     return _pivot_psd(nodes, [keep * m for m in mass], slope)
 
 
-def bessel_certificate(gram: GramMatrix, p: Fraction) -> bool:
-    """Exact truth of the upper bound (1/p)·D − G ⪰ 0, D the diagonal of G."""
-    p = check_threshold(p)
-    pivots = [d / p - d for d in gram.diagonal]
-    lower = [{j: -x for j, x in row} for row in gram.lower]
-    return _ldlt_psd(pivots, lower)
-
-
 def verify_bessel(
     family: Sequence[DyadicInterval], region: StepSet, p: Fraction
 ) -> bool:
@@ -543,6 +518,28 @@ def _block_extremes(block: np.ndarray) -> Tuple[float, float]:
         )
     diag = np.diag(block)
     return float(diag.min()), float(diag.max())
+
+
+MAX_MEMO_BYTES = 64 << 20  # key bytes a search's block memo holds before it starts over
+
+
+class _BlockMemo(dict):
+    """Extremes of solved blocks keyed by the blocks' bytes, for one search.
+
+    An insertion that would take the keys past MAX_MEMO_BYTES clears the
+    memo first, so it holds at most that many key bytes, or one key that is
+    larger alone.  A block's extremes depend only on its bytes, so a clear
+    costs solving again and moves no result.
+    """
+
+    key_bytes = 0
+
+    def __setitem__(self, key: bytes, value):
+        if self.key_bytes + len(key) > MAX_MEMO_BYTES:
+            self.clear()
+            self.key_bytes = 0
+        self.key_bytes += len(key)
+        super().__setitem__(key, value)
 
 
 def _extreme_eigenvalues(

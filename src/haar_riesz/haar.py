@@ -309,31 +309,6 @@ def restricted_norm_sq(interval: DyadicInterval, region: StepSet) -> Fraction:
     return intersect_measure(region, interval)
 
 
-def inner_product(
-    first: DyadicInterval, second: DyadicInterval, region: StepSet
-) -> Fraction:
-    """Exact ∫ h_I h_J 1_E.
-
-    Dyadic intervals are nested or disjoint, so the product is zero unless one
-    interval contains the other; the outer Haar function is then constant ±1
-    on the inner interval.
-    """
-    if first == second:
-        return intersect_measure(region, first)
-    if first.contains(second):
-        outer, inner = first, second
-    elif second.contains(first):
-        outer, inner = second, first
-    else:
-        return Fraction(0)
-    _, outer_rh = halves(outer)
-    sign = 1 if outer_rh.contains(inner) else -1
-    inner_lh, inner_rh = halves(inner)
-    return sign * (
-        intersect_measure(region, inner_rh) - intersect_measure(region, inner_lh)
-    )
-
-
 def combination(coeffs: CoefficientMap, region: StepSet) -> PiecewiseConstant:
     """The exact step function Σ a_I · h_I · 1_E.
 

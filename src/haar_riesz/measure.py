@@ -242,11 +242,6 @@ FULL_SET = StepSet(((0, 1),))
 EMPTY_SET = StepSet(())
 
 
-def normalize(raw: Iterable[Sequence[RationalLike]]) -> StepSet:
-    """Canonical StepSet with the same indicator function as the raw pairs."""
-    return StepSet(tuple(raw))
-
-
 def intersect_measure(region: StepSet, interval: DyadicInterval) -> Fraction:
     """Exact Lebesgue measure of region ∩ interval."""
     lo, hi = interval.left, interval.right

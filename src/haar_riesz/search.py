@@ -13,10 +13,11 @@ rounds as ``float`` of the Fraction does, so each block the eigen route cuts
 from it (:func:`gram._extreme_eigenvalues`) has the bits of the same block of
 ``build_gram(..., normalized=True).as_float()``; no n×n float matrix is
 built.  The extremes are solved block by block, and a memo that lives for
-one search keeps each solved block's extremes, so a flip re-solves only the
-blocks it changed.  No candidate builds a Fraction Gram matrix; ties on the
-ratio are broken on the integer runs of the cells, and a StepSet is built
-only for the final winner or for a candidate that fails a spectral check.
+one search keeps each solved block's extremes, up to a cap on its keys'
+bytes, so a flip re-solves only the blocks it changed.  No candidate builds
+a Fraction Gram matrix; ties on the ratio are broken on the integer runs of
+the cells, and a StepSet is built only for the final winner or for a
+candidate that fails a spectral check.
 
 The certified bracket decides each exact PSD verdict by one pass over the
 family's members (:func:`gram._pivot_psd`), the paper's level-by-level
@@ -41,7 +42,7 @@ from typing import List, Optional, Tuple
 
 from .constants import riesz_constant
 from .errors import ConsistencyError, InputError
-from .gram import _chain_store, _extreme_eigenvalues, _pivot_psd, check_dense
+from .gram import _BlockMemo, _chain_store, _extreme_eigenvalues, _pivot_psd, check_dense
 from .haar import admissible_nodes, check_family_args
 from .measure import StepSet, cell_runs, dyadic_counts, heap_sums
 
@@ -192,17 +193,6 @@ def _table_tree(region: StepSet, p: Fraction, depth: int) -> Tuple["_CountTree",
     p = check_family_args(depth, p)
     unit, counts = dyadic_counts(region, depth + 1)
     return _CountTree(counts, unit, depth), p
-
-
-def min_ratio(region: StepSet, p: Fraction, depth: int) -> Tuple[float, int]:
-    """Smallest Rayleigh ratio over the admissible family of level ≤ depth:
-    λ_min of the normalized pencil, via the float eigensolver.
-
-    An empty family is vacuously a Riesz sequence; by convention it scores
-    the orthogonal-case value 1.
-    """
-    low, _, size = pencil_extremes(region, p, depth)
-    return low, size
 
 
 def certified_lower_bound(
@@ -465,12 +455,13 @@ def search_extremal(cfg: SearchConfig) -> SearchResult:
 
     The extremes of every pencil block solved are kept, keyed by the block's
     bytes, for the length of this call only, so a flip re-solves only the
-    blocks it changed.
+    blocks it changed; past ``gram.MAX_MEMO_BYTES`` of keys the memo starts
+    over (:class:`gram._BlockMemo`).
     """
     floor = _floor_for(cfg.p)
     ceiling = float(Fraction(1) / cfg.p) + _FLOAT_TOL
     run = _search_random if cfg.mode == "random" else _search_greedy
-    (ratio, runs, size), ratios = run(cfg, floor, ceiling, {})
+    (ratio, runs, size), ratios = run(cfg, floor, ceiling, _BlockMemo())
     best_set = StepSet.from_runs(runs, 1 << cfg.cell_resolution)
     tree, _ = _table_tree(best_set, cfg.p, cfg.depth)
     return SearchResult(

@@ -23,7 +23,13 @@ from haar_riesz.gram import (
     eig_bounds,
     psd_certificate,
 )
-from haar_riesz.haar import PiecewiseConstant, enumerate_family, haar_function
+from haar_riesz.haar import (
+    PiecewiseConstant,
+    check_threshold,
+    enumerate_family,
+    haar_function,
+    halves,
+)
 from haar_riesz.measure import density, intersect_measure
 from haar_riesz.weights import (
     GridReport,
@@ -144,11 +150,75 @@ def psd_by_principal_minors(rows) -> bool:
     )
 
 
+def gram_from_entries(entries, labels=None, normalized: bool = False) -> GramMatrix:
+    """The store of a dense symmetric matrix; entries become Fractions.
+
+    Test-side reference for ``GramMatrix`` stores given as dense rows: it
+    refuses a matrix that is not square, or not symmetric, naming the first
+    asymmetric position, and ``GramMatrix`` itself checks the labels.
+    """
+    rows = tuple(
+        tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+        for row in entries
+    )
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise InputError("Gram matrix must be square")
+    # tuple equality short-cuts on shared objects, so a Gram matrix whose
+    # mirrored entries are one object each is checked at C speed
+    if tuple(zip(*rows)) != rows:
+        i, j = next(
+            (i, j) for i in range(n) for j in range(i) if rows[i][j] != rows[j][i]
+        )
+        raise InputError(f"Gram matrix not symmetric at ({i}, {j})")
+    lower = tuple(
+        tuple((j, x) for j, x in enumerate(row[:i]) if x)
+        for i, row in enumerate(rows)
+    )
+    return GramMatrix(tuple(rows[i][i] for i in range(n)), lower, labels, normalized)
+
+
+def bessel_certificate(gram: GramMatrix, p) -> bool:
+    """Exact truth of (1/p)·D − G ⪰ 0, D the diagonal of G, by the library's
+    LDLᵀ on a given store: ``psd_certificate`` of the negated store at shift
+    −1/p (test-side reference for the family route ``verify_bessel``)."""
+    p = check_threshold(p)
+    negated = GramMatrix(
+        tuple(-d for d in gram.diagonal),
+        tuple(tuple((j, -x) for j, x in row) for row in gram.lower),
+    )
+    return psd_certificate(negated, -1 / p, gram.diagonal)
+
+
+def inner_product(first: DyadicInterval, second: DyadicInterval, region: StepSet) -> Fraction:
+    """Exact ∫ h_I h_J 1_E, one pair at a time (test-side reference for the
+    entries ``build_gram`` writes along ancestor chains).
+
+    Dyadic intervals are nested or disjoint, so the product is zero unless one
+    interval contains the other; the outer Haar function is then constant ±1
+    on the inner interval.
+    """
+    if first == second:
+        return intersect_measure(region, first)
+    if first.contains(second):
+        outer, inner = first, second
+    elif second.contains(first):
+        outer, inner = second, first
+    else:
+        return Fraction(0)
+    _, outer_rh = halves(outer)
+    sign = 1 if outer_rh.contains(inner) else -1
+    inner_lh, inner_rh = halves(inner)
+    return sign * (
+        intersect_measure(region, inner_rh) - intersect_measure(region, inner_lh)
+    )
+
+
 def ldlt_psd(rows) -> bool:
     """The library's exact PSD verdict on a dense symmetric rational matrix:
-    its store, built by ``GramMatrix.from_entries``, through the sparse LDLᵀ
+    its store, built by :func:`gram_from_entries`, through the sparse LDLᵀ
     of ``psd_certificate`` at shift 0."""
-    return psd_certificate(GramMatrix.from_entries(rows), 0, [0] * len(rows))
+    return psd_certificate(gram_from_entries(rows), 0, [0] * len(rows))
 
 
 def dense_exact_psd(rows) -> bool:

@@ -156,6 +156,22 @@ def test_gram_built_once_with_unchanged_output(two_thirds_file, monkeypatch, cap
     assert len(calls) == 2
 
 
+def test_gram_normalized_json_keeps_the_raw_entries(two_thirds_file, capsys):
+    # json prints the exact raw rationals with the flag set, not the float
+    # view: the normalized entries involve square roots
+    argv = ["gram", "--set", two_thirds_file, "--p", "1/3", "--depth", "1"]
+    assert run(argv) == 0
+    raw = json.loads(capsys.readouterr().out)["gram"]
+    assert run(argv + ["--normalized"]) == 0
+    shown = json.loads(capsys.readouterr().out)["gram"]
+    assert shown["normalized"] is True and raw["normalized"] is False
+    assert shown["entries"] == raw["entries"] == [
+        ["2/3", "0/1", "-1/6"],
+        ["0/1", "1/2", "0/1"],
+        ["-1/6", "0/1", "1/6"],
+    ]
+
+
 def test_constants_csv(capsys):
     assert run(["constants", "--p-list", "43/64,3/4,4/5", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

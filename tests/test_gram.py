@@ -14,13 +14,11 @@ from haar_riesz import (
     GramMatrix,
     InputError,
     StepSet,
-    bessel_certificate,
     build_gram,
     certified_lower_bound,
     derive_seed,
     eig_bounds,
     enumerate_family,
-    inner_product,
     perturbation_demo,
     psd_certificate,
     random_stepset,
@@ -41,8 +39,11 @@ from haar_riesz.gram import (
 )
 
 from conftest import (
+    bessel_certificate,
     dense_exact_psd,
     dyadic_intervals,
+    gram_from_entries,
+    inner_product,
     ldlt_psd,
     leibniz_det,
     matrix_components,
@@ -93,7 +94,7 @@ def dyadic_pencils(gram, p):
     """Riesz and Bessel pencils of a dyadic Gram matrix on both sides of the
     spectral ends, at the theorem's constants, and at the shift 1 where the
     pencil's diagonal vanishes."""
-    low, high = eig_bounds(GramMatrix.from_entries(gram.entries, gram.labels, normalized=True))
+    low, high = eig_bounds(gram_from_entries(gram.entries, gram.labels, normalized=True))
     eps = F(1, 10**6)
     shifts = [riesz_constant(p) if p > F(2, 3) else F(1, 100), near(low, -eps), near(low, eps), F(1)]
     bounds = [1 / p, near(high, -eps), near(high, eps), F(1)]
@@ -115,7 +116,7 @@ def symmetric_matrices(draw, max_size: int = 6):
 
 
 def identity_gram(n):
-    return GramMatrix.from_entries(
+    return gram_from_entries(
         tuple(tuple(F(1) if i == j else F(0) for j in range(n)) for i in range(n))
     )
 
@@ -146,7 +147,7 @@ class TestBuildGram:
 
     def test_symmetry_validation(self):
         with pytest.raises(InputError):
-            GramMatrix.from_entries(((F(1), F(2)), (F(3), F(1))))
+            gram_from_entries(((F(1), F(2)), (F(3), F(1))))
 
     def test_json_and_csv(self):
         gram = build_gram(PAIR, TWO_THIRDS_SET)
@@ -259,7 +260,7 @@ class TestGramStore:
     @given(symmetric_matrices())
     @settings(max_examples=80)
     def test_from_entries_round_trip(self, rows):
-        gram = GramMatrix.from_entries(rows)
+        gram = gram_from_entries(rows)
         assert gram.entries == rows
         assert all(type(x) is F for row in gram.entries for x in row)
         assert gram.diagonal == tuple(row[i] for i, row in enumerate(rows))
@@ -267,15 +268,15 @@ class TestGramStore:
             columns = [j for j, _ in row]
             assert columns == sorted(set(columns)) and all(j < i for j in columns)
             assert all(x and x == rows[i][j] for j, x in row)
-        assert GramMatrix.from_entries(gram.entries) == gram
+        assert gram_from_entries(gram.entries) == gram
 
     def test_from_entries_errors(self):
         with pytest.raises(InputError, match=r"^Gram matrix must be square$"):
-            GramMatrix.from_entries(((F(1), F(0)),))
+            gram_from_entries(((F(1), F(0)),))
         with pytest.raises(InputError, match=r"^Gram matrix not symmetric at \(2, 0\)$"):
-            GramMatrix.from_entries(((1, 0, 5), (0, 1, 0), (4, 0, 1)))
+            gram_from_entries(((1, 0, 5), (0, 1, 0), (4, 0, 1)))
         with pytest.raises(InputError, match="label count"):
-            GramMatrix.from_entries(((1,),), labels=PAIR)
+            gram_from_entries(((1,),), labels=PAIR)
 
     @given(
         step_sets(denominators=(3, 7, 8, 12, 64)),
@@ -287,7 +288,7 @@ class TestGramStore:
         # arbitrary order, repeats and non-admissible members included
         normalized = normalized and all(restricted_norm_sq(i, region) for i in family)
         gram = build_gram(family, region, normalized=normalized)
-        twin = GramMatrix.from_entries(gram.entries, gram.labels, normalized)
+        twin = gram_from_entries(gram.entries, gram.labels, normalized)
         assert twin == gram
         assert hash(twin) == hash(gram)
 
@@ -335,7 +336,7 @@ class TestEigBounds:
         assert abs(high - expected_high) < 1e-10
 
     def test_diagonal(self):
-        gram = GramMatrix.from_entries(
+        gram = gram_from_entries(
             tuple(
                 tuple(F(d) if i == j else F(0) for j, d in enumerate((3, -2, 7)))
                 for i, d in enumerate((3, -2, 7))
@@ -345,7 +346,7 @@ class TestEigBounds:
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            eig_bounds(GramMatrix.from_entries(()))
+            eig_bounds(gram_from_entries(()))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 17, 30])
     def test_against_lapack_oracle(self, n):

@@ -13,13 +13,13 @@ from haar_riesz import (
     InputError,
     PiecewiseConstant,
     StepSet,
+    build_gram,
     combination,
     density,
     enumerate_family,
     haar_function,
     halves,
     indicator,
-    inner_product,
     norm_sq,
     restricted_norm_sq,
 )
@@ -28,6 +28,7 @@ from conftest import (
     clip_stepset,
     coefficient_maps,
     dyadic_intervals,
+    inner_product,
     reference_combination,
     step_sets,
 )
@@ -38,6 +39,12 @@ from haar_riesz.haar import MAX_DEPTH, MAX_JSON_LEVEL, meets_density
 
 TWO_THIRDS = StepSet(((0, F(2, 3)),))
 FULL = StepSet(((0, 1),))
+
+
+def pair_entry(first, second, region):
+    """∫ h_I h_J 1_E by the package's route: the off-diagonal entry of the
+    two-member Gram matrix, which is |I ∩ E| when I = J."""
+    return build_gram([first, second], region).entries[1][0]
 
 
 class TestPiecewiseConstant:
@@ -123,7 +130,7 @@ class TestInnerProduct:
     @given(dyadic_intervals(), dyadic_intervals())
     def test_orthogonality_on_full_set(self, first, second):
         expected = restricted_norm_sq(first, FULL) if first == second else 0
-        assert inner_product(first, second, FULL) == expected
+        assert pair_entry(first, second, FULL) == expected
 
     def test_nested_value(self):
         # oracle: direct piecewise product integration
@@ -132,7 +139,7 @@ class TestInnerProduct:
             haar_function(first) * haar_function(second) * indicator(TWO_THIRDS)
         ).integral()
         assert oracle == F(-1, 6)
-        assert inner_product(first, second, TWO_THIRDS) == F(-1, 6)
+        assert pair_entry(first, second, TWO_THIRDS) == F(-1, 6)
 
     @given(dyadic_intervals(), dyadic_intervals(), step_sets())
     @settings(max_examples=60)
@@ -140,33 +147,33 @@ class TestInnerProduct:
         oracle = (
             haar_function(first) * haar_function(second) * indicator(region)
         ).integral()
-        assert inner_product(first, second, region) == oracle
+        assert pair_entry(first, second, region) == oracle
 
     @given(dyadic_intervals(), step_sets())
     def test_diagonal(self, interval, region):
-        assert inner_product(interval, interval, region) == restricted_norm_sq(
+        assert pair_entry(interval, interval, region) == restricted_norm_sq(
             interval, region
         )
 
     @given(dyadic_intervals(), dyadic_intervals(), step_sets())
     def test_symmetric(self, first, second, region):
-        assert inner_product(first, second, region) == inner_product(
+        assert pair_entry(first, second, region) == pair_entry(
             second, first, region
         )
 
     @given(dyadic_intervals(), dyadic_intervals(), step_sets())
     def test_disjoint_vanishes(self, first, second, region):
         if not (first.contains(second) or second.contains(first)):
-            assert inner_product(first, second, region) == 0
+            assert pair_entry(first, second, region) == 0
 
     @given(dyadic_intervals(), dyadic_intervals(), step_sets(), st.fractions(min_value=0, max_value=1, max_denominator=16))
     @settings(max_examples=40)
     def test_additive_under_region_split(self, first, second, region, cut):
         left = clip_stepset(region, F(0), cut)
         right = clip_stepset(region, cut, F(1))
-        assert inner_product(first, second, region) == inner_product(
+        assert pair_entry(first, second, region) == pair_entry(
             first, second, left
-        ) + inner_product(first, second, right)
+        ) + pair_entry(first, second, right)
 
 
 class TestCombination:

@@ -15,7 +15,6 @@ from haar_riesz import (
     density,
     enumerate_family,
     intersect_measure,
-    normalize,
 )
 from haar_riesz.haar import halves, node_interval
 from haar_riesz import measure
@@ -31,17 +30,17 @@ def indicator_of_pairs(pairs, x):
 
 class TestNormalize:
     def test_adjacent_merge(self):
-        assert normalize([(0, F(1, 2)), (F(1, 2), 1)]) == StepSet(((0, 1),))
+        assert StepSet([(0, F(1, 2)), (F(1, 2), 1)]) == StepSet(((0, 1),))
 
     def test_sort_and_merge(self):
-        assert normalize([(F(1, 4), F(1, 2)), (0, F(1, 4))]) == StepSet(
+        assert StepSet([(F(1, 4), F(1, 2)), (0, F(1, 4))]) == StepSet(
             ((0, F(1, 2)),)
         )
 
     def test_overlapping_union(self):
         # oracle: indicator of the raw union sampled on a fine rational grid
         raw = [(F(0), F(1, 3)), (F(1, 4), F(2, 3))]
-        result = normalize(raw)
+        result = StepSet(raw)
         for k in range(960):
             x = F(k, 960)
             assert result.contains_point(x) == indicator_of_pairs(raw, x)
@@ -58,13 +57,13 @@ class TestNormalize:
     )
     def test_malformed_pair_rejected(self, raw):
         with pytest.raises(InputError) as err:
-            normalize(raw)
+            StepSet(raw)
         # the offending pair is named
         assert str(raw[0][0]) in str(err.value)
 
     @given(step_sets())
     def test_idempotent(self, region):
-        assert normalize(region.intervals) == region
+        assert StepSet(region.intervals) == region
 
     @given(step_sets())
     def test_canonical_form(self, region):

@@ -17,13 +17,11 @@ from haar_riesz import (
     InputError,
     SearchConfig,
     StepSet,
-    bessel_certificate,
     build_gram,
     certified_lower_bound,
     density,
     derive_seed,
     enumerate_family,
-    min_ratio,
     pencil_extremes,
     psd_certificate,
     random_stepset,
@@ -42,6 +40,8 @@ from haar_riesz.haar import MAX_DEPTH, halves
 from haar_riesz.search import MAX_RESOLUTION, _CountTree, _draw_cells
 
 from conftest import (
+    bessel_certificate,
+    gram_from_entries,
     matrix_components,
     reference_certified_lower_bound,
     reference_pencil_extremes,
@@ -113,18 +113,18 @@ class TestRandomStepSet:
 
 class TestMinRatio:
     def test_full_set_orthogonal(self):
-        ratio, size = min_ratio(FULL, F(1, 2), 3)
+        ratio, _, size = pencil_extremes(FULL, F(1, 2), 3)
         assert ratio == 1.0
         assert size == 15
 
     def test_empty_family_convention(self):
-        ratio, size = min_ratio(StepSet(()), F(1, 2), 3)
+        ratio, _, size = pencil_extremes(StepSet(()), F(1, 2), 3)
         assert (ratio, size) == (1.0, 0)
 
     def test_zigzag_forces_low_ratio(self):
         # the zig-zag coefficient vector pins the Rayleigh quotient at 4/(4+n);
         # depth 6 contains stages up to n = 3
-        ratio, _ = min_ratio(TWO_THIRDS_SET, F(2, 3), 6)
+        ratio, _, _ = pencil_extremes(TWO_THIRDS_SET, F(2, 3), 6)
         assert ratio <= 4 / 7 + 1e-8
 
     def test_theorem_floor(self):
@@ -132,7 +132,7 @@ class TestMinRatio:
         floor = float(riesz_constant(p)) - 1e-8
         for i in range(10):
             region = random_stepset(6, 0.7, derive_seed(0xF100E, i))
-            ratio, _ = min_ratio(region, p, 4)
+            ratio, _, _ = pencil_extremes(region, p, 4)
             assert ratio >= floor
 
 
@@ -151,7 +151,7 @@ class TestCertifiedLowerBound:
         region = random_stepset(6, 0.8, 555)
         p = F(3, 4)
         low = certified_lower_bound(region, p, 4)
-        ratio, _ = min_ratio(region, p, 4)
+        ratio, _, _ = pencil_extremes(region, p, 4)
         assert float(low) <= ratio + 1e-8
 
     def test_empty_family(self):
@@ -185,7 +185,6 @@ def assert_table_routes_match(region, p, depth):
     low, high, size = pencil_extremes(region, p, depth)
     ref_low, ref_high, ref_size = reference_pencil_extremes(region, p, depth)
     assert (low.hex(), high.hex(), size) == (ref_low.hex(), ref_high.hex(), ref_size)
-    assert min_ratio(region, p, depth) == (low, size)
     assert certified_lower_bound(region, p, depth) == reference_certified_lower_bound(
         region, p, depth
     )
@@ -587,7 +586,7 @@ class TestSearchExtremal:
         assert len(result.history) == 150
         assert result.best_ratio <= 0.60650955
         assert result.best_ratio < min(r for _, r in result.history)
-        low, size = min_ratio(result.best_set, cfg.p, cfg.depth)
+        low, _, size = pencil_extremes(result.best_set, cfg.p, cfg.depth)
         assert (low, size) == (result.best_ratio, result.family_size)
 
     def test_result_json(self):
@@ -663,7 +662,7 @@ def tree_gram(tree, p):
             else:
                 row.append(F(0))
         rows.append(tuple(row))
-    return GramMatrix.from_entries(rows, members)
+    return gram_from_entries(rows, members)
 
 
 def assert_tree_matches_reference(tree, p):
@@ -1039,6 +1038,44 @@ class TestBlockMemo:
             counts.append(solves[0] - start)
         assert counts[0] == counts[1] > 0
         assert results[0] == results[1]
+
+    def test_capped_memo_starts_over_and_moves_no_result(self, monkeypatch):
+        # the criterion-9 search, once with the memo's cap and once with a
+        # cap of a few KiB, below many of its blocks' bytes
+        cfg = SearchConfig(
+            p=F(43, 64), depth=6, cell_resolution=8, iterations=200, seed=0x5EA7C4
+        )
+        solves = [0]
+        block_extremes = gram_module._block_extremes
+
+        def counted(block):
+            solves[0] += 1
+            return block_extremes(block)
+
+        monkeypatch.setattr(gram_module, "_block_extremes", counted)
+        uncapped = search_extremal(cfg)
+        uncapped_solves, solves[0] = solves[0], 0
+
+        cap = 32 << 10
+        monkeypatch.setattr(gram_module, "MAX_MEMO_BYTES", cap)
+        held = []
+        setitem = gram_module._BlockMemo.__setitem__
+
+        def checked(memo, key, value):
+            setitem(memo, key, value)
+            key_bytes = sum(map(len, memo))
+            assert memo.key_bytes == key_bytes
+            assert key_bytes <= cap or len(memo) == 1
+            held.append((len(memo), key_bytes))
+
+        monkeypatch.setattr(gram_module._BlockMemo, "__setitem__", checked)
+        assert search_extremal(cfg) == uncapped
+        assert solves[0] > uncapped_solves
+        # both ways of starting over occur: a key too large to share the
+        # memo, and keys that fill it
+        assert any(size == 1 and key_bytes > cap for size, key_bytes in held)
+        sizes = [size for size, _ in held]
+        assert any(0 < after <= before for before, after in zip(sizes, sizes[1:]))
 
 
 # Digests of seeded results, taken before candidates were scored on the count
