@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -11,7 +10,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
 from .errors import InputError
-from .measure import DyadicInterval, StepSet, dyadic_counts, intersect_measure
+from .measure import DyadicInterval, StepSet, _packed, dyadic_counts, intersect_measure
 from .rational import format_rational, parse_rational
 
 MAX_DEPTH = 16  # enumerate_family reads 2^depth + 1 masses: 65537 at the cap
@@ -133,9 +132,8 @@ class PiecewiseConstant:
 
 def indicator(region: StepSet) -> PiecewiseConstant:
     """The indicator function of a step set, as an exact step function."""
-    ends = region.ends
     return PiecewiseConstant.from_segments(
-        (left, right, Fraction(1)) for left, right in zip(ends[0::2], ends[1::2])
+        (left, right, Fraction(1)) for left, right in region.intervals
     )
 
 
@@ -262,24 +260,6 @@ def _json_entry(entry: dict) -> Tuple[DyadicInterval, Fraction]:
     if type(level) is not int or type(index) is not int:
         raise InputError(_COEFFS_SHAPE)
     return DyadicInterval(level, index), parse_rational(a)
-
-
-_TYPECODES = ("b", "h", "i", "q")  # signed integers of 8, 16, 32 and 64 bits
-
-
-def _packed(values: Sequence[int]) -> Sequence[int]:
-    """The ints as an ``array`` of the narrowest signed type that holds them
-    all, or as a tuple when one needs more than 64 bits.
-
-    The choice depends only on the values, so equal sequences are packed
-    alike.
-    """
-    low, high = min(values, default=0), max(values, default=0)
-    for code in _TYPECODES:
-        bound = 1 << (8 * array(code).itemsize - 1)
-        if -bound <= low and high < bound:
-            return array(code, values)
-    return tuple(values)
 
 
 def node_interval(node: int) -> DyadicInterval:

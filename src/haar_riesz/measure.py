@@ -1,14 +1,16 @@
 """Exact step sets and dyadic intervals on the unit interval.
 
-The set model is a canonical finite union of half-open intervals with
-rational endpoints inside [0,1).  Every measure and density computed here is
-an exact `Fraction` or integer count over a common unit; nothing rounds.  The
-measures at dyadic points come from one integer sweep, :func:`measures_below`.
+A step set is a canonical finite union of half-open intervals with rational
+ends inside [0,1), held as integer ticks over the ends' least common
+denominator.  Every measure and density computed here is an exact `Fraction`
+or integer count over a common unit; nothing rounds.  Every measure of a set
+on dyadic intervals comes from one integer sweep, :func:`measures_below`.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
@@ -110,32 +112,55 @@ def cell_runs(cells: Sequence[bool]) -> list[Tuple[int, int]]:
     return runs
 
 
-# k/scale for each scale a step set was built at, filled as endpoints are
-# first needed: at most scale + 1 entries per scale
-_ENDPOINTS: dict[int, dict[int, Fraction]] = {}
+_TYPECODES = ("b", "h", "i", "q")  # signed integers of 8, 16, 32 and 64 bits
+MAX_TABLE_BITS = 1 << 30  # a set's ticks or a count table at their widest: 128 MiB
+
+
+def _packed(values: Sequence[int]) -> Sequence[int]:
+    """The ints as an ``array`` of the narrowest signed type that holds them
+    all, or as a tuple when one needs more than 64 bits.
+
+    The choice depends only on the values, so equal sequences are packed
+    alike.
+    """
+    low, high = min(values, default=0), max(values, default=0)
+    for code in _TYPECODES:
+        bound = 1 << (8 * array(code).itemsize - 1)
+        if -bound <= low and high < bound:
+            return array(code, values)
+    return tuple(values)
 
 
 class StepSet:
     """Canonical finite union of half-open rational intervals inside [0,1).
 
-    The set is one flat tuple ``ends`` = (a₀, b₀, a₁, b₁, …) of strictly
-    increasing Fractions, the intervals being [a_k, b_k).  Construction from
-    pairs eagerly canonicalizes: intervals are sorted, overlapping or touching
-    inputs are merged, so equality of indicator functions is structural
-    equality of the tuples.  ``intervals`` builds the pairs on request.
-    Instances are immutable.
+    The intervals are [a_k, b_k) for ends a₀ < b₀ < a₁ < b₁ < …, held as
+    ``scale``, their least common denominator, and ``ticks``, the ends times
+    ``scale`` packed by :func:`_packed`.  Construction canonicalizes: the
+    intervals are sorted, overlapping or touching ones merged and the scale
+    made least, so equal indicator functions have equal fields.  ``ends``
+    and ``intervals`` build Fractions on request.  Instances are immutable.
     """
 
-    __slots__ = ("ends",)
+    __slots__ = ("scale", "ticks")
 
     def __init__(self, intervals: Iterable[Sequence[RationalLike]] = ()):
-        object.__setattr__(self, "ends", _canonical_ends(intervals))
+        ends = _canonical_ends(intervals)
+        scale = lcm(*(end.denominator for end in ends))
+        bits = len(ends) * scale.bit_length()  # each distinct denominator widens every tick
+        if bits > MAX_TABLE_BITS:
+            raise InputError(f"a step set of {bits} tick bits is past the {MAX_TABLE_BITS} budget")
+        self._fill(scale, [end.numerator * (scale // end.denominator) for end in ends])
+
+    def _fill(self, scale: int, ticks: Sequence[int]):
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "ticks", _packed(ticks))
 
     @classmethod
-    def _of_ends(cls, ends: Tuple[Fraction, ...]) -> "StepSet":
-        """The set of flat ends that are already canonical, kept as given."""
+    def _of_ticks(cls, scale: int, ticks: Sequence[int]) -> "StepSet":
+        """The set of ticks that are canonical over their least scale."""
         region = object.__new__(cls)
-        object.__setattr__(region, "ends", ends)
+        region._fill(scale, ticks)
         return region
 
     def __setattr__(self, name, value):
@@ -145,18 +170,23 @@ class StepSet:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return StepSet._of_ends, (self.ends,)
+        return StepSet._of_ticks, (self.scale, self.ticks)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.ends == other.ends
+        return self.scale == other.scale and self.ticks == other.ticks
 
     def __hash__(self) -> int:
-        return hash(self.ends)
+        return hash((self.scale, *self.ticks))
 
     def __repr__(self) -> str:
         return f"StepSet(intervals={self.intervals!r})"
+
+    @property
+    def ends(self) -> Tuple[Fraction, ...]:
+        """The flat ends (a₀, b₀, a₁, b₁, …) as Fractions."""
+        return tuple(Fraction(tick, self.scale) for tick in self.ticks)
 
     @property
     def intervals(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
@@ -173,41 +203,37 @@ class StepSet:
     def from_runs(cls, runs: Sequence[Tuple[int, int]], scale: int) -> "StepSet":
         """The union of [a/scale, b/scale) over the integer pairs (a, b).
 
-        The endpoints come from a table shared by every set of this scale,
-        so a set keeps one tuple of ends and no Fractions of its own.  Runs
-        whose flattened ends strictly increase, as :func:`cell_runs` gives
-        them, are canonical already and kept as they are; any other runs are
-        sorted and merged.
+        Runs whose flattened ends strictly increase inside [0, scale], as
+        :func:`cell_runs` gives them, are canonical already: one gcd takes
+        them to the least scale, and no Fraction is made.  Any other runs
+        are checked, sorted and merged as :class:`StepSet` pairs are.
         """
+        if scale < 1:
+            raise InputError(f"a step set's scale must be >= 1, got {scale}")
         flat = [k for a, b in runs for k in (a, b)]
-        table = _ENDPOINTS.setdefault(scale, {})
-        for k in flat:
-            if k not in table:
-                if not 0 <= k <= scale:
-                    raise InputError(f"endpoint {k}/{scale} lies outside [0, 1]")
-                table[k] = Fraction(k, scale)
-        ends = tuple(map(table.__getitem__, flat))
-        if all(a < b for a, b in zip(flat, flat[1:])):
-            return cls._of_ends(ends)
-        return cls(zip(ends[0::2], ends[1::2]))
+        inside = not flat or 0 <= flat[0] and flat[-1] <= scale
+        if not (inside and all(a < b for a, b in zip(flat, flat[1:]))):
+            return cls((Fraction(a, scale), Fraction(b, scale)) for a, b in runs)
+        common = gcd(scale, *flat)
+        return cls._of_ticks(scale // common, [k // common for k in flat])
 
     @property
     def measure(self) -> Fraction:
-        ends = self.ends
-        return sum(ends[1::2], Fraction(0)) - sum(ends[0::2], Fraction(0))
+        return Fraction(sum(self.ticks[1::2]) - sum(self.ticks[0::2]), self.scale)
 
     def contains_point(self, x: RationalLike) -> bool:
-        # x lies in [a_k, b_k) exactly when an odd number of ends are <= x
-        return bisect_right(self.ends, _as_fraction(x)) % 2 == 1
+        # x lies in [a_k, b_k) exactly when an odd number of ticks are <= x·scale
+        x = _as_fraction(x)
+        return bisect_right(self.ticks, x.numerator * self.scale // x.denominator) % 2 == 1
 
     def complement(self) -> "StepSet":
-        """The normalized complement within [0,1)."""
-        ends = (Fraction(0),) + self.ends + (Fraction(1),)
-        if ends[0] == ends[1]:
-            ends = ends[2:]
-        if ends and ends[-2] == ends[-1]:
-            ends = ends[:-2]
-        return StepSet._of_ends(ends)
+        """The normalized complement within [0,1), over the same scale."""
+        ticks = [0, *self.ticks, self.scale]
+        if ticks[0] == ticks[1]:
+            ticks = ticks[2:]
+        if ticks and ticks[-2] == ticks[-1]:
+            ticks = ticks[:-2]
+        return StepSet._of_ticks(self.scale, ticks)
 
     def to_json_dict(self) -> dict:
         return {
@@ -225,15 +251,17 @@ class StepSet:
         if not isinstance(data, dict) or "intervals" not in data:
             raise InputError(shape)
         pairs = data["intervals"]
-        # each interval exactly two ends: a longer list would lose the rest
+        # two ends per interval (a longer list would lose the rest), each a JSON
+        # integer or "a/b" string (a float reads in binary, a boolean as 0 or 1)
         if not isinstance(pairs, list) or not all(
-            isinstance(pair, list) and len(pair) == 2 for pair in pairs
+            isinstance(pair, list) and len(pair) == 2 and {type(e) for e in pair} <= {int, str}
+            for pair in pairs
         ):
             raise InputError(shape)
         return cls(pairs)
 
     def __str__(self) -> str:
-        if not self.ends:
+        if not self.ticks:
             return "{}"
         return " ∪ ".join(f"[{l}, {r})" for l, r in self.intervals)
 
@@ -243,29 +271,22 @@ EMPTY_SET = StepSet(())
 
 
 def intersect_measure(region: StepSet, interval: DyadicInterval) -> Fraction:
-    """Exact Lebesgue measure of region ∩ interval."""
-    lo, hi = interval.left, interval.right
-    ends = region.ends
-    total = Fraction(0)
-    # the first interval whose right end lies past lo: every earlier one
-    # ends at or before lo
-    for k in range(bisect_right(ends, lo) & ~1, len(ends), 2):
-        left = ends[k]
-        if left >= hi:
-            break
-        total += min(ends[k + 1], hi) - max(left, lo)
-    return total
+    """Exact Lebesgue measure of region ∩ interval, from the sweep at its ends."""
+    index = interval.index
+    unit, (low, high) = measures_below(region, interval.level, (index, index + 1))
+    return Fraction(high - low, unit)
 
 
 def measures_below(region: StepSet, level: int, positions: Iterable[int]) -> Tuple[int, List[int]]:
     """(unit, below): |E ∩ [0, k/2^level)| = below[i] / unit for the i-th k
     of ascending positions in [0, 2^level], ``unit`` their least common
-    denominator.  The ends and the points share one integer grid of step
-    1/lcm(2^level, the ends' denominators), merged in one sweep.
+    denominator.  The ticks and the points share one integer grid of step
+    1/lcm(2^level, scale), merged in one sweep.
     """
-    ends = region.ends
-    grid = lcm(1 << level, *(end.denominator for end in ends))
-    ticks = [end.numerator * (grid // end.denominator) for end in ends]
+    scale = region.scale
+    grid = lcm(1 << level, scale)
+    factor = grid // scale
+    ticks = [tick * factor for tick in region.ticks]
     step = grid >> level
     n = len(ticks)
     below = []
@@ -300,9 +321,6 @@ def heap_sums(leaves: Sequence[int]) -> List[int]:
     return counts
 
 
-MAX_TABLE_BITS = 1 << 30  # a count table's integers at their widest: 128 MiB
-
-
 def dyadic_counts(region: StepSet, deepest: int) -> Tuple[int, List[int]]:
     """(unit, counts): |E ∩ I| = counts[2^level + index] / unit for every
     dyadic interval I = (level, index) of level ≤ ``deepest``.
@@ -312,11 +330,11 @@ def dyadic_counts(region: StepSet, deepest: int) -> Tuple[int, List[int]]:
     denominator of its values, and each coarser node is the sum of its
     halves (:func:`heap_sums`).  A level's counts are the slice
     ``counts[1 << level : 2 << level]``.  Each of the 2^(deepest+1) counts
-    may be as wide as the sweep's grid, whose step every distinct endpoint
-    denominator shortens, so a table that could exceed MAX_TABLE_BITS is
-    refused before the sweep.
+    may be as wide as the sweep's grid, whose step the set's scale
+    shortens, so a table that could exceed MAX_TABLE_BITS is refused before
+    the sweep.
     """
-    grid = lcm(1 << deepest, *(end.denominator for end in region.ends))
+    grid = lcm(1 << deepest, region.scale)
     bits = (2 << deepest) * grid.bit_length()
     if bits > MAX_TABLE_BITS:
         raise InputError(

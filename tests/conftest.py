@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
@@ -118,6 +119,23 @@ def clip_stepset(region: StepSet, left: Fraction, right: Fraction) -> StepSet:
         if lo < hi:
             pieces.append((lo, hi))
     return StepSet(tuple(pieces))
+
+
+def reference_intersect_measure(region: StepSet, interval: DyadicInterval) -> Fraction:
+    """|region ∩ interval| by a bisection on the Fraction ends and a sum of
+    clipped lengths, sharing no code with the integer sweep (test-side
+    reference)."""
+    lo, hi = interval.left, interval.right
+    ends = region.ends
+    total = Fraction(0)
+    # the first interval whose right end lies past lo: every earlier one
+    # ends at or before lo
+    for k in range(bisect_right(ends, lo) & ~1, len(ends), 2):
+        left = ends[k]
+        if left >= hi:
+            break
+        total += min(ends[k + 1], hi) - max(left, lo)
+    return total
 
 
 def leibniz_det(rows) -> Fraction:

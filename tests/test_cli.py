@@ -326,6 +326,32 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("input error: ")
 
+    @pytest.mark.parametrize(
+        "intervals",
+        [
+            pytest.param([[0, 0.5]], id="float-end"),
+            pytest.param([[0.0, "1/2"]], id="integral-float-end"),
+            pytest.param([[False, True]], id="bool-ends"),
+            pytest.param([["0", True]], id="bool-end"),
+        ],
+    )
+    def test_set_ends_are_json_integers_or_strings(self, capsys, tmp_path, intervals):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"intervals": intervals}))
+        assert run(["gram", "--set", str(path), "--p", "1/2", "--depth", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: step set JSON must be")
+
+    def test_set_ends_may_be_integers_or_fractions(self, capsys, tmp_path):
+        outputs = []
+        for intervals in ([["1/3", 1]], [["1/3", "1/1"]]):
+            path = tmp_path / "set.json"
+            path.write_text(json.dumps({"intervals": intervals}))
+            assert run(["gram", "--set", str(path), "--p", "1/2", "--depth", "2"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and json.loads(outputs[0])["family_size"] > 0
+
     def test_negative_n(self, capsys):
         assert run(["counterexample", "--n", "-3"]) == 2
 

@@ -1,7 +1,9 @@
+import json
 import math
 import pickle
 import random
 import tracemalloc
+from array import array
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +23,13 @@ from haar_riesz import measure
 from haar_riesz.counterexample import TWO_THIRDS_SET, zigzag_coefficients
 from haar_riesz.measure import cell_runs, dyadic_counts, heap_sums, measures_below
 
-from conftest import clip_stepset, dyadic_intervals, prime_shifted_set, step_sets
+from conftest import (
+    clip_stepset,
+    dyadic_intervals,
+    prime_shifted_set,
+    reference_intersect_measure,
+    step_sets,
+)
 
 
 def indicator_of_pairs(pairs, x):
@@ -117,14 +125,15 @@ class TestFromCells:
             StepSet.from_cells(first).intervals < StepSet.from_cells(second).intervals
         )
 
-    def test_sets_of_one_scale_share_endpoints(self):
+    def test_cell_sets_hold_integer_ticks(self):
         rng = random.Random(3)
         sets = [StepSet.from_cells([rng.random() < 0.5 for _ in range(16)]) for _ in range(8)]
-        seen = {}
-        ends = [end for region in sets for pair in region.intervals for end in pair]
-        for end in ends:
-            assert seen.setdefault(end, end) is end
-        assert len(ends) > len(seen)  # some endpoint is held by several sets
+        for region in sets:
+            assert type(region.scale) is int and 16 % region.scale == 0
+            assert isinstance(region.ticks, array) and region.ticks.typecode == "b"
+            assert all(type(tick) is int for tick in region.ticks)
+            assert not any(isinstance(getattr(region, name), F) for name in StepSet.__slots__)
+            assert region.ends == tuple(F(tick, region.scale) for tick in region.ticks)
 
     @given(st.lists(st.booleans(), min_size=1, max_size=40))
     def test_shared_endpoints_change_no_behaviour(self, cells):
@@ -143,7 +152,7 @@ class TestFromCells:
     def test_kept_sets_hold_no_fractions_of_their_own(self):
         rng = random.Random(8)
         draws = [[rng.random() < 0.55 for _ in range(256)] for _ in range(100)]
-        StepSet.from_cells([True, False] * 128)  # fills the table of scale 256
+        StepSet.from_cells([True, False] * 128)  # the route runs once before tracing
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -153,21 +162,22 @@ class TestFromCells:
             tracemalloc.stop()
         intervals = sum(len(region.intervals) for region in kept)
         assert intervals > 5000
-        assert size / intervals <= 24  # two shared ends: 16 B, and the set's share
+        assert size / intervals <= 24  # two packed ticks (at most 4 B) and the set's share
 
-    def test_endpoint_table_holds_only_points_of_the_unit_interval(self):
+    def test_runs_outside_the_unit_interval_are_refused(self):
         with pytest.raises(InputError):
             StepSet.from_runs([(0, 300)], 256)
         with pytest.raises(InputError):
             StepSet.from_runs([(-1, 3)], 256)
         StepSet.from_runs([(0, 256)], 256)
-        assert set(measure._ENDPOINTS[256]) <= set(range(257))
+
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_scale_below_one_is_refused(self, scale):
+        with pytest.raises(InputError, match="scale must be >= 1"):
+            StepSet.from_runs([(0, 0)], scale)
 
     def test_fractions_are_not_rewrapped(self):
-        left, right = F(1, 3), F(2, 3)
-        ((a, b),) = StepSet(((left, right),)).intervals
-        assert a is left and b is right
-        # other rationals are still converted
+        # the ends come back as Fractions of the given values
         ((a, b),) = StepSet((("1/3", 1),)).intervals
         assert (type(a), type(b)) == (F, F) and (a, b) == (F(1, 3), F(1))
 
@@ -283,6 +293,93 @@ class TestIntersectMeasure:
         ) == interval.measure
 
 
+@st.composite
+def mixed_pairs(draw, max_intervals: int = 5):
+    """Disjoint sorted pairs whose ends have denominators 2^k, 3, 5 and
+    7·2^k, each end its own, k up to 62."""
+    k = draw(st.integers(0, 62))
+    denominators = st.sampled_from([1 << k, 3, 5, 7 << k])
+    ends = draw(
+        st.lists(
+            denominators.flatmap(lambda d: st.builds(F, st.integers(0, d), st.just(d))),
+            max_size=2 * max_intervals,
+            unique=True,
+        )
+    )
+    ends.sort()
+    return list(zip(ends[0::2], ends[1::2]))
+
+
+@st.composite
+def intervals_near(draw, region, max_level: int = 60):
+    """A dyadic interval of level ≤ max_level, often one holding an end of
+    the region, where a clipped length is partial."""
+    level = draw(st.integers(0, max_level))
+    ends = [end for end in region.ends if end < 1]
+    if ends and draw(st.booleans()):
+        end = draw(st.sampled_from(ends))
+        return DyadicInterval(level, math.floor(end * (1 << level)))
+    return DyadicInterval(level, draw(st.integers(0, (1 << level) - 1)))
+
+
+class TestOneMeasureRoute:
+    """intersect_measure, one measures_below call, against a Fraction
+    bisection over the ends."""
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_matches_the_fraction_bisection(self, data):
+        region = StepSet(data.draw(mixed_pairs()))
+        interval = data.draw(intervals_near(region))
+        assert intersect_measure(region, interval) == reference_intersect_measure(
+            region, interval
+        )
+
+    @given(mixed_pairs())
+    def test_measure_is_the_sum_of_lengths(self, pairs):
+        assert StepSet(pairs).measure == sum((b - a for a, b in pairs), F(0))
+
+    def test_deep_interval_on_an_odd_scale(self):
+        region = StepSet(((F(1, 3), F(5, 7)),))
+        interval = DyadicInterval(60, (1 << 60) // 3)
+        assert intersect_measure(region, interval) == interval.right - F(1, 3)
+
+
+class TestOneForm:
+    """Every route to a set gives one canonical integer form."""
+
+    @given(st.lists(st.booleans(), min_size=1, max_size=40), st.integers(1, 5))
+    def test_every_route_gives_one_form(self, cells, k):
+        m = len(cells)
+        runs = cell_runs(cells)
+        first = StepSet(tuple((F(a, m), F(b, m)) for a, b in runs))
+        forms = [
+            StepSet.from_runs([(k * a, k * b) for a, b in runs], k * m),
+            StepSet.from_runs(runs[::-1], m),  # out of order: the general route
+            StepSet.from_cells(cells),
+            StepSet.from_json_dict(json.loads(json.dumps(first.to_json_dict()))),
+            pickle.loads(pickle.dumps(first)),
+            first.complement().complement(),
+        ]
+        for region in forms:
+            assert region == first and hash(region) == hash(first)
+            assert pickle.dumps(region) == pickle.dumps(first)
+            assert (region.scale, tuple(region.ticks)) == (first.scale, tuple(first.ticks))
+        assert first.scale == math.lcm(*(end.denominator for end in first.ends))
+
+    def test_no_state_is_kept_between_calls(self):
+        StepSet.from_runs([(1, 2)], 3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for scale in range(1000, 4000):
+                StepSet.from_runs([(1, scale - 1)], scale)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert after - before < 64 * 1024
+
+
 def assert_sweep_is_clipped_measure(region, level, positions):
     """measures_below against the measure of region ∩ [0, k/2^level), clipped
     piece by piece; its unit is the values' least common denominator."""
@@ -377,11 +474,24 @@ class TestDyadicCounts:
         assert len(family) == 16380
 
 
+class TestTickBudget:
+    def test_ticks_past_the_bit_budget_are_refused(self, monkeypatch):
+        # 600 ends over a common denominator of about 12 000 bits
+        region = prime_shifted_set(300)
+        budget = len(region.ticks) * region.scale.bit_length()
+        monkeypatch.setattr(measure, "MAX_TABLE_BITS", budget - 1)
+        with pytest.raises(InputError, match="budget"):
+            prime_shifted_set(300)
+        monkeypatch.setattr(measure, "MAX_TABLE_BITS", budget)
+        assert prime_shifted_set(300) == region
+
+
 class TestSweepCallSites:
-    def test_measures_below_has_three_callers(self):
+    def test_measures_below_has_four_callers(self):
         """One table sweep, a family's sparse sweep at its members' own
-        points (for its Gram matrix and its pivot pass alike), and the
-        single-cell check: no other route sweeps a set."""
+        points (for its Gram matrix and its pivot pass alike), the
+        single-cell check and the measure on one dyadic interval: no other
+        route sweeps a set."""
         import ast
         from pathlib import Path
 
@@ -407,7 +517,12 @@ class TestSweepCallSites:
         callers = Callers()
         for path in sorted(Path(measure.__file__).parent.glob("*.py")):
             callers.visit(ast.parse(path.read_text()))
-        assert sorted(callers.found) == ["_member_measures", "dyadic_counts", "per_interval_check"]
+        assert sorted(callers.found) == [
+            "_member_measures",
+            "dyadic_counts",
+            "intersect_measure",
+            "per_interval_check",
+        ]
 
 
 class TestDensity:
